@@ -158,6 +158,8 @@ class BenchmarkNet:
     edges: set = field(repr=False)
     inclique_count: int = 0
     between_count: int = 0
+    # the stream degradation draws from; build_benchmark passes its own
+    _rng: np.random.Generator = field(default_factory=np.random.default_rng, repr=False, compare=False)
 
     @property
     def graph(self) -> Graph:
@@ -293,7 +295,7 @@ def build_benchmark(
         edges.add((anchor, node) if anchor < node else (node, anchor))
         between += 1
 
-    net = BenchmarkNet(
+    return BenchmarkNet(
         K=K,
         cliques=cliques,
         clique_nodes=clique_nodes,
@@ -303,9 +305,8 @@ def build_benchmark(
         edges=edges,
         inclique_count=inclique,
         between_count=between,
+        _rng=rng,
     )
-    net._rng = rng
-    return net
 
 
 def expected_counts(

@@ -51,9 +51,13 @@ def cmd_detect(args) -> int:
     state = SurpriseState(graph, rng=sub_rng(args.seed, "detect"))
     state.stepper()
     if args.anneal_steps > 0:
+        # anneal a copy: the greedy optimum stands unless the polish beats it
+        polished = SurpriseState(graph, state.partition, rng=state.rng)
         for _ in range(args.anneal_steps):
-            state.anneal_step(args.anneal_T)
-        state.stepper()
+            polished.anneal_step(args.anneal_T)
+        polished.stepper()
+        if polished.S > state.S:
+            state = polished
     if args.out:
         save_partition(state.partition, args.out)
     _print_kv(

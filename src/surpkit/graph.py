@@ -111,14 +111,22 @@ def load_edge_list(path) -> Graph:
 
     One edge per line as two whitespace-separated non-negative integers.
     Lines starting with '#' are comments.  Duplicate and reversed edges are
-    merged silently.  The node count is one plus the largest id seen.
+    merged silently.  A ``# nodes K`` comment fixes the node count, so
+    trailing isolated nodes survive a round trip; without one the node
+    count is one plus the largest id seen.
     """
     edges = []
-    max_id = 0
+    max_id, max_line = 0, 0
+    declared = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
+                header = line[1:].split()
+                if len(header) == 2 and header[0] == "nodes" and header[1].isdigit():
+                    declared = int(header[1])
+                continue
+            if not line:
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -132,12 +140,21 @@ def load_edge_list(path) -> Graph:
             if u == v:
                 raise EdgeListError(f"{path}:{lineno}: self-loop on node {u}")
             edges.append((u, v))
-            max_id = max(max_id, u, v)
-    return Graph(max_id + 1, edges)
+            if max(u, v) > max_id:
+                max_id, max_line = max(u, v), lineno
+    if declared is None:
+        return Graph(max_id + 1, edges)
+    if edges and max_id >= declared:
+        raise EdgeListError(f"{path}:{max_line}: node id {max_id} not below the declared node count {declared}")
+    return Graph(declared, edges)
 
 
 def save_edge_list(graph: Graph, path) -> None:
-    """Write a graph in the edge-list format accepted by :func:`load_edge_list`."""
+    """Write a graph in the edge-list format accepted by :func:`load_edge_list`.
+
+    The first line is a ``# nodes K`` comment, so isolated nodes are kept.
+    """
     with open(path, "w") as fh:
+        fh.write(f"# nodes {graph.K}\n")
         for u, v in sorted(graph.edges):
             fh.write(f"{u} {v}\n")

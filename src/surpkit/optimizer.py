@@ -38,6 +38,23 @@ def _pairs(c: int) -> int:
     return c * (c - 1) // 2
 
 
+@dataclass(frozen=True)
+class _SubBlock:
+    """One proper sub-community of a community, priced against the current state.
+
+    ``dM`` and ``dell`` are the changes from taking the block out of its
+    community; ``links`` counts the block's links into every other
+    community it touches; ``S_extract`` is the surprise after moving the
+    block into a fresh community of its own.
+    """
+
+    nodes: set[int]
+    dM: int
+    dell: int
+    links: dict[int, int]
+    S_extract: float
+
+
 class SurpriseState:
     """A graph plus a partition with incrementally maintained surprise.
 
@@ -63,11 +80,19 @@ class SurpriseState:
         # the recursion depends only on the induced subgraph, so entries
         # never go stale and repeat lookups skip the greedy recursion
         self._sub_cache: dict[frozenset, list[set[int]]] = {}
+        # surprise by (M, ell): F and n are fixed per graph, so entries
+        # never go stale
+        self._S_memo: dict[tuple[int, int], float] = {}
+        # sub-block plans by community id, valid until the next applied move
+        self._plans: dict[int, list[_SubBlock]] = {}
 
     # ----- bookkeeping helpers -------------------------------------------
 
     def _S_at(self, M: int, ell: int) -> float:
-        return surprise(self.graph.F, M, self.graph.n, ell)
+        S = self._S_memo.get((M, ell))
+        if S is None:
+            S = self._S_memo[M, ell] = surprise(self.graph.F, M, self.graph.n, ell)
+        return S
 
     def _check_comm(self, cid: int) -> None:
         if not (0 <= cid < self.partition.Nc):
@@ -98,6 +123,13 @@ class SurpriseState:
 
     # ----- raw appliers (no acceptance test) -----------------------------
 
+    def _commit(self, dM: int, dell: int, S_new: float) -> None:
+        self.M += dM
+        self.ell += dell
+        self.S = S_new
+        # plans hold community ids and deltas of the old state
+        self._plans.clear()
+
     def _apply_merge(self, cA: int, cB: int, dM: int, dell: int, S_new: float) -> None:
         p = self.partition
         for node in p.comms[cB]:
@@ -105,9 +137,7 @@ class SurpriseState:
         p.comms[cA] |= p.comms[cB]
         p.comms[cB] = set()
         self._remove_comm(cB)
-        self.M += dM
-        self.ell += dell
-        self.S = S_new
+        self._commit(dM, dell, S_new)
 
     def _apply_move_node(self, node: int, cTo: int, dM: int, dell: int, S_new: float) -> None:
         p = self.partition
@@ -115,9 +145,7 @@ class SurpriseState:
         p.comms[src].discard(node)
         p.comms[cTo].add(node)
         p.assign[node] = cTo
-        self.M += dM
-        self.ell += dell
-        self.S = S_new
+        self._commit(dM, dell, S_new)
 
     def _apply_extract(self, node: int, dM: int, dell: int, S_new: float) -> None:
         p = self.partition
@@ -125,9 +153,7 @@ class SurpriseState:
         p.comms[src].discard(node)
         p.comms.append({node})
         p.assign[node] = p.Nc - 1
-        self.M += dM
-        self.ell += dell
-        self.S = S_new
+        self._commit(dM, dell, S_new)
 
     def _apply_move_set(self, nodes: set[int], cTo: int | None, dM: int, dell: int, S_new: float) -> None:
         """Relocate a node set into cTo, or into a fresh community if cTo is None."""
@@ -142,9 +168,7 @@ class SurpriseState:
             p.assign[node] = cTo
         if not p.comms[src]:
             self._remove_comm(src)
-        self.M += dM
-        self.ell += dell
-        self.S = S_new
+        self._commit(dM, dell, S_new)
 
     # ----- delta computations --------------------------------------------
 
@@ -245,41 +269,97 @@ class SurpriseState:
         self._sub_cache[key] = [set(s) for s in result]
         return result
 
+    def _plan(self, cid: int) -> list[_SubBlock]:
+        """The proper sub-communities of cid in ascending order of their smallest node.
+
+        Built once per community and state: the sub_extract call and the
+        Nc sub_exchange calls that stepper() makes for one community share
+        it, and every applied move drops it.
+        """
+        plan = self._plans.get(cid)
+        if plan is not None:
+            return plan
+        p = self.partition
+        adj = self.graph.adj
+        c = len(p.comms[cid])
+        plan = []
+        for sub in sorted(self.subcommunities(cid), key=min):
+            b = len(sub)
+            if b == c:
+                continue  # the whole community: a merge, not a split
+            links: dict[int, int] = {}
+            to_rest = 0
+            for u in sub:
+                for nb in adj[u]:
+                    cj = p.assign[nb]
+                    if cj != cid:
+                        links[cj] = links.get(cj, 0) + 1
+                    elif nb not in sub:
+                        to_rest += 1
+            dM = _pairs(c - b) - _pairs(c)
+            S_extract = self._S_at(self.M + dM + _pairs(b), self.ell - to_rest)
+            plan.append(_SubBlock(sub, dM, -to_rest, links, S_extract))
+        self._plans[cid] = plan
+        return plan
+
     def sub_extract(self, cid: int) -> MoveOutcome:
         """Split a sub-community off into its own community when that raises the surprise."""
         self._check_comm(cid)
         if len(self.partition.comms[cid]) < 2:
             raise ValueError("community too small for sub-community extraction")
         best_dS = -math.inf
-        for sub in sorted(self.subcommunities(cid), key=min):
-            if len(sub) == len(self.partition.comms[cid]):
-                continue  # the whole community is not a split
-            dM, dell = self._move_set_delta(sub, None)
-            S_new = self._S_at(self.M + dM, self.ell + dell)
-            dS = S_new - self.S
+        for blk in self._plan(cid):
+            dS = blk.S_extract - self.S
             if dS > TIE_EPS:
-                self._apply_move_set(sub, None, dM, dell, S_new)
+                self._apply_move_set(blk.nodes, None, blk.dM + _pairs(len(blk.nodes)), blk.dell, blk.S_extract)
                 return MoveOutcome(True, dS, "sub_extract")
             best_dS = max(best_dS, dS)
         return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_extract")
 
     def sub_exchange(self, cid: int, cTo: int) -> MoveOutcome:
-        """Relocate a sub-community wholesale into cTo when that raises the surprise."""
+        """Relocate a sub-community wholesale into cTo when that raises the surprise.
+
+        Blocks are tried in ascending order of their smallest node and the
+        first that raises S by more than TIE_EPS is applied.  A block B with
+        no link into cTo is skipped, unpriced, when extracting it does not
+        raise S by more than TIE_EPS; it could not have been applied.
+        Moving B (b nodes) into a community T (t nodes) that it has no links
+        to adds no intracommunity link, so ell changes exactly as when B is
+        extracted, while M grows by _pairs(t + b) - _pairs(t) instead of
+        _pairs(b), that is by t*b >= 1 more.  At fixed ell the
+        hypergeometric upper tail P(X >= ell) does not decrease as M grows,
+        so S = -ln P does not increase: the move into T is no better than
+        extraction.  The first applied block is therefore the one a full
+        scan in the same order applies.  That holds in exact arithmetic;
+        in floating point the kernel can put a move that ties extraction
+        a few ulps above it, so a skipped block could only ever differ
+        where both deltaS lie within the kernel's rounding of TIE_EPS.
+
+        On rejection, deltaS is an upper bound on the best block's deltaS
+        (up to that rounding), not always the exact value: a skipped block
+        contributes its extraction deltaS.  check_deltas() prices every
+        block exactly.
+        """
         self._check_comm(cid)
         self._check_comm(cTo)
         if len(self.partition.comms[cid]) < 2:
             raise ValueError("community too small for sub-community exchange")
         if cTo == cid:
             return MoveOutcome(False, 0.0, "sub_exchange")
+        t = len(self.partition.comms[cTo])
         best_dS = -math.inf
-        for sub in sorted(self.subcommunities(cid), key=min):
-            if len(sub) == len(self.partition.comms[cid]):
-                continue  # relocating everything is a merge, handled elsewhere
-            dM, dell = self._move_set_delta(sub, cTo)
+        for blk in self._plan(cid):
+            dS = blk.S_extract - self.S
+            if cTo not in blk.links and dS <= TIE_EPS:
+                best_dS = max(best_dS, dS)  # extraction bounds the move into cTo
+                continue
+            b = len(blk.nodes)
+            dM = blk.dM + _pairs(t + b) - _pairs(t)
+            dell = blk.dell + blk.links.get(cTo, 0)
             S_new = self._S_at(self.M + dM, self.ell + dell)
             dS = S_new - self.S
             if dS > TIE_EPS:
-                self._apply_move_set(sub, cTo, dM, dell, S_new)
+                self._apply_move_set(blk.nodes, cTo, dM, dell, S_new)
                 return MoveOutcome(True, dS, "sub_exchange")
             best_dS = max(best_dS, dS)
         return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_exchange")

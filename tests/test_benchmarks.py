@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -92,6 +93,12 @@ class TestBuildBenchmark:
         net.degrade_p(0.5)
         net.degrade_q(0.2)
         assert net.truth.canonical() == before
+
+    def test_replaced_copy_degrades(self):
+        # the degradation stream is a declared field, so dataclasses.replace
+        # carries it over
+        net = build_benchmark([5, 5, 5], r=0.0, rng=0)
+        assert dataclasses.replace(net).degrade_p(0.5) > 0
 
     def test_cycle_connects_ring(self):
         net = build_benchmark([5, 5, 5, 5], cycle=True, rng=0)

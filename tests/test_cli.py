@@ -55,6 +55,26 @@ class TestDetect:
         assert float(fields["S"]) == pytest.approx(best, abs=1e-8)
 
 
+    def test_anneal_never_ends_below_greedy(self, capsys, tmp_path):
+        # at this temperature the annealed walk's own optimum is lower than
+        # the greedy one, which detect must then keep
+        edges, truth = tmp_path / "e.txt", tmp_path / "t.txt"
+        code, _ = run(
+            capsys, "bench", "our", "--ncliques", 4, "--pielou", 0.9, "--nodes", 40,
+            "--r", 0.1, "--p", 0.6, "--q", 0.1, "--seed", 0,
+            "--out-edges", edges, "--out-truth", truth,
+        )
+        assert code == 0
+        code, out = run(capsys, "detect", "--graph", edges, "--seed", 0)
+        greedy = float(dict(kv.split("=") for kv in out.split())["S"])
+        code, out = run(
+            capsys, "detect", "--graph", edges, "--seed", 0,
+            "--anneal-steps", 2, "--anneal-T", 5.0,
+        )
+        assert code == 0
+        assert float(dict(kv.split("=") for kv in out.split())["S"]) >= greedy
+
+
 class TestBench:
     def test_our_round_trip(self, capsys, tmp_path):
         edges = tmp_path / "bench.edges"
@@ -75,6 +95,21 @@ class TestBench:
         assert code == 0
         fields = dict(kv.split("=") for kv in out.split())
         assert fields["n_before"] == "16" and fields["n_after"] == "8"
+
+    def test_rc_keeps_isolated_nodes(self, capsys, tmp_path):
+        # rewiring strands trailing nodes; the graph must keep all of them
+        edges, truth, rc = tmp_path / "e.txt", tmp_path / "t.txt", tmp_path / "rc.txt"
+        code, _ = run(
+            capsys, "bench", "our", "--ncliques", 4, "--pielou", 1.0, "--nodes", 40,
+            "--r", 0.1, "--p", 0.9, "--seed", 3,
+            "--out-edges", edges, "--out-truth", truth,
+        )
+        assert code == 0
+        code, out = run(capsys, "bench", "rc", "--graph", edges, "--R", 90, "--out", rc)
+        assert code == 0
+        assert dict(kv.split("=") for kv in out.split())["K"] == "40"
+        code, out = run(capsys, "eval", "surprise", "--graph", rc, "--partition", truth)
+        assert code == 0 and float(out) >= 0.0
 
     def test_reproducible_outputs(self, capsys, tmp_path):
         digests = []

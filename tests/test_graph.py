@@ -120,3 +120,21 @@ class TestIO:
         path.write_text("0 1\n0 5\n")
         g = load_edge_list(path)
         assert g.K == 6 and g.degree(3) == 0
+
+    def test_node_count_header_keeps_isolated_nodes(self, tmp_path):
+        path = tmp_path / "iso.edges"
+        g = Graph(7, [(0, 1), (1, 2)])
+        save_edge_list(g, path)
+        assert path.read_text().splitlines()[0] == "# nodes 7"
+        assert load_edge_list(path) == g
+
+    def test_node_count_header_too_small(self, tmp_path):
+        path = tmp_path / "small.edges"
+        path.write_text("# nodes 3\n0 1\n1 3\n")
+        with pytest.raises(EdgeListError, match=r":3: node id 3 not below the declared node count 3"):
+            load_edge_list(path)
+
+    def test_other_comments_do_not_set_node_count(self, tmp_path):
+        path = tmp_path / "c.edges"
+        path.write_text("# nodes of a toy graph\n# nodes x\n0 1\n")
+        assert load_edge_list(path).K == 2

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surpkit.benchmarks import build_benchmark
 from surpkit.datasets import disconnected_cliques, toy_graph
 from surpkit.exhaustive import best_surprise_partitions
 from surpkit.graph import Graph
-from surpkit.optimizer import SurpriseState, sample_partitions
+from surpkit.optimizer import TIE_EPS, SurpriseState, sample_partitions
 from surpkit.partition import Partition
-from surpkit.surprise import partition_stats
+from surpkit.surprise import partition_stats, surprise
 
 
 def bridged_cliques():
@@ -28,6 +29,22 @@ def random_graphs(draw, min_k=3, max_k=10):
     pairs = [(u, v) for u in range(K) for v in range(u + 1, K)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     return Graph(K, edges)
+
+
+@st.composite
+def graphs_with_partitions(draw, max_k=9, max_nc=4):
+    g = draw(random_graphs(min_k=4, max_k=max_k))
+    assign = draw(st.lists(st.integers(0, max_nc - 1), min_size=g.K, max_size=g.K))
+    return g, Partition(assign)
+
+
+def sub_scan(state, kind, cid, cTo=None):
+    """(block, deltaS) of every block check_deltas() prices for one sub-move, in scan order."""
+    return [
+        (move[2], dS)
+        for move, dS in state.check_deltas()
+        if move[0] == kind and move[1] == cid and (cTo is None or move[3] == cTo)
+    ]
 
 
 class TestMerge:
@@ -172,6 +189,16 @@ class TestStepper:
         state.stepper()
         assert all(dS <= 1e-12 for _, dS in state.check_deltas())
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_degraded_benchmark_fixed_point(self, seed):
+        net = build_benchmark([15, 15, 15, 15], r=0.05, rng=seed)
+        net.degrade_p(0.4)
+        net.degrade_q(0.05)
+        state = SurpriseState(net.graph, rng=seed)
+        state.stepper()
+        assert state.graph.K == 63 and state.verify()
+        assert all(dS <= 1e-12 for _, dS in state.check_deltas())
+
     @settings(max_examples=15, deadline=None)
     @given(random_graphs(max_k=8))
     def test_never_beats_enumeration(self, g):
@@ -193,6 +220,88 @@ class TestStepper:
                 if state.merge(ci, cj).accepted:
                     assert state.S > last
                     last = state.S
+
+
+class TestSubPlan:
+    """The surprise memo and the pruned sub-community moves against unpruned pricing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions())
+    def test_sub_exchange_matches_full_scan(self, gp):
+        g, p = gp
+        state = SurpriseState(g, p)
+        Nc = state.partition.Nc  # sub_exchange never empties a community
+        for cid in range(Nc):
+            for cTo in range(Nc):
+                if cTo == cid or len(state.partition.comms[cid]) < 2:
+                    continue
+                scan = sub_scan(state, "sub_exchange", cid, cTo)
+                uphill = [(sub, dS) for sub, dS in scan if dS > TIE_EPS]
+                before = [set(c) for c in state.partition.comms]
+                out = state.sub_exchange(cid, cTo)
+                assert out.accepted == bool(uphill)
+                if uphill:
+                    sub, dS = uphill[0]  # the block a full scan applies
+                    assert out.deltaS == dS
+                    assert state.partition.comms[cTo] == before[cTo] | sub
+                    assert state.partition.comms[cid] == before[cid] - sub
+                    assert state.verify()
+                elif scan:
+                    # a skipped block reports its extraction deltaS, which
+                    # bounds its deltaS into cTo up to the kernel's rounding
+                    assert max(dS for _, dS in scan) <= out.deltaS + 1e-12
+                    assert out.deltaS <= TIE_EPS
+                else:
+                    assert out.deltaS == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_with_partitions())
+    def test_sub_extract_matches_full_scan(self, gp):
+        g, p = gp
+        for cid in range(p.Nc):
+            state = SurpriseState(g, p)
+            if len(state.partition.comms[cid]) < 2:
+                continue
+            scan = sub_scan(state, "sub_extract", cid)
+            uphill = [(sub, dS) for sub, dS in scan if dS > TIE_EPS]
+            out = state.sub_extract(cid)
+            assert out.accepted == bool(uphill)
+            if uphill:
+                sub, dS = uphill[0]
+                assert out.deltaS == dS
+                assert state.partition.comms[-1] == sub
+                assert state.verify()
+            else:
+                assert out.deltaS == max((dS for _, dS in scan), default=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(graphs_with_partitions())
+    def test_memo_bit_identical(self, gp):
+        g, p = gp
+        state = SurpriseState(g, p)
+        state.check_deltas()
+        assert state._S_memo
+        for (M, ell), S in state._S_memo.items():
+            assert S.hex() == surprise(g.F, M, g.n, ell).hex()
+            assert state._S_at(M, ell).hex() == S.hex()
+
+    def test_plan_rebuilt_after_renumbering_merge(self):
+        # {4,5} is a clique minus one edge away from {0..3}; merging it in
+        # moves the last community, {8,9}, into id 1
+        edges = list(combinations(range(4), 2)) + [(u, v) for u in range(4) for v in (4, 5)]
+        edges += [(6, 8), (7, 9), (8, 9)]
+        g = Graph(10, edges)
+        state = SurpriseState(g, Partition.from_communities([[0, 1, 2, 3], [4, 5], [6, 7], [8, 9]]))
+        assert not state.sub_exchange(1, 2).accepted
+        assert not state.sub_exchange(3, 2).accepted
+        assert [b.nodes for b in state._plans[1]] == [{4}, {5}]
+        assert state.merge(0, 1).accepted
+        assert state.partition.comms[1] == {8, 9}
+        assert state._plans == {}
+        out = state.sub_exchange(1, 2)
+        assert [b.nodes for b in state._plans[1]] == [{8}, {9}]
+        scan = sub_scan(state, "sub_exchange", 1, 2)
+        assert not out.accepted and out.deltaS == max(dS for _, dS in scan)
 
 
 class TestAnneal:
