@@ -47,6 +47,10 @@ def _print_kv(**kv) -> None:
 
 
 def cmd_detect(args) -> int:
+    if args.anneal_steps < 0:
+        raise ValueError(f"--anneal-steps must be >= 0, got {args.anneal_steps}")
+    if not args.anneal_T > 0:
+        raise ValueError(f"--anneal-T must be positive, got {args.anneal_T}")
     graph = load_edge_list(args.graph)
     state = SurpriseState(graph, rng=sub_rng(args.seed, "detect"))
     state.stepper()

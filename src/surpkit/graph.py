@@ -78,15 +78,18 @@ class Graph:
         """Induced subgraph with nodes relabeled ``0..m-1`` in ascending order.
 
         Returns the subgraph and the list mapping new ids back to original ids.
+        Costs O(sum of the members' degrees), not O(edges of the whole graph).
         """
         order = sorted(set(nodes))
         for u in order:
             self._check_node(u)
         index = {u: i for i, u in enumerate(order)}
+        adj = self.adj
         sub_edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
+            (i, index[v])
+            for i, u in enumerate(order)
+            for v in adj[u]
+            if v > u and v in index
         ]
         return Graph(len(order), sub_edges), order
 

@@ -7,6 +7,19 @@ sub-community (found by running the greedy loop recursively on the
 subgraph induced by one community).  A move is accepted in greedy mode
 only when it strictly increases the surprise; the main loop applies the
 moves systematically to exhaustion, so it terminates at a local maximum.
+
+Link counts are kept incrementally: every node's links into each
+community and every pair of communities' cross links, updated by each
+applied move, so the merge, exchange and extract deltas are lookups.
+
+The greedy loop does not repeat a merge or an exchange it has seen
+rejected since the last applied move.  This is exact: a merge of cA and
+cB has dM = sA*sB and dell = the cross links of the pair, both symmetric
+in the pair, and an exchange's delta depends only on the node, its
+community and the target.  Until a move is applied none of these
+changes, so a repeated call would price the same (M, ell) and be
+rejected again.  Applying any move clears the record, which also covers
+the renumbering of community ids.
 """
 
 from __future__ import annotations
@@ -85,6 +98,11 @@ class SurpriseState:
         self._S_memo: dict[tuple[int, int], float] = {}
         # sub-block plans by community id, valid until the next applied move
         self._plans: dict[int, list[_SubBlock]] = {}
+        # merges and exchanges stepper() saw rejected since the last applied move
+        self._rejected: set[tuple] = set()
+        # links of each node into each community, and cross links between
+        # each pair of communities; zero counts are dropped
+        self._node_links, self._comm_links = self._count_links()
 
     # ----- bookkeeping helpers -------------------------------------------
 
@@ -98,15 +116,26 @@ class SurpriseState:
         if not (0 <= cid < self.partition.Nc):
             raise ValueError(f"community id {cid} out of range [0, {self.partition.Nc})")
 
+    def _count_links(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+        """Node-to-community and community-to-community link counts, from scratch."""
+        assign = self.partition.assign
+        node_links: list[dict[int, int]] = [{} for _ in range(self.graph.K)]
+        comm_links: list[dict[int, int]] = [{} for _ in range(self.partition.Nc)]
+        for u, nbs in enumerate(self.graph.adj):
+            cu = assign[u]
+            counts = node_links[u]
+            for nb in nbs:
+                cn = assign[nb]
+                counts[cn] = counts.get(cn, 0) + 1
+                if cn != cu:
+                    comm_links[cu][cn] = comm_links[cu].get(cn, 0) + 1
+        return node_links, comm_links
+
     def _links_to(self, node: int, cid: int) -> int:
-        comm = self.partition.comms[cid]
-        return sum(1 for nb in self.graph.adj[node] if nb in comm)
+        return self._node_links[node].get(cid, 0)
 
     def _cross_links(self, cA: int, cB: int) -> int:
-        a, b = self.partition.comms[cA], self.partition.comms[cB]
-        if len(b) < len(a):
-            a, b = b, a
-        return sum(1 for u in a for nb in self.graph.adj[u] if nb in b)
+        return self._comm_links[cA].get(cB, 0)
 
     def _set_links(self, nodes: set[int], target: set[int]) -> int:
         return sum(1 for u in nodes for nb in self.graph.adj[u] if nb in target)
@@ -115,11 +144,49 @@ class SurpriseState:
         """Drop an emptied community slot, keeping ids dense (swap with last)."""
         p = self.partition
         last = p.Nc - 1
+        comm_links = self._comm_links
         if cid != last:
             p.comms[cid] = p.comms[last]
+            comm_links[cid] = comm_links[last]
+            for other in comm_links[cid]:
+                comm_links[other][cid] = comm_links[other].pop(last)
+            node_links = self._node_links
+            adj = self.graph.adj
             for node in p.comms[cid]:
                 p.assign[node] = cid
+                for nb in adj[node]:
+                    counts = node_links[nb]
+                    if last in counts:
+                        counts[cid] = counts.pop(last)
         p.comms.pop()
+        comm_links.pop()
+
+    def _relocate(self, node: int, src: int, dst: int) -> None:
+        """Move one node from src to dst, updating both link tables in O(deg)."""
+        p = self.partition
+        node_links, comm_links = self._node_links, self._comm_links
+        src_links, dst_links = comm_links[src], comm_links[dst]
+        for nb in self.graph.adj[node]:
+            counts = node_links[nb]
+            if counts[src] == 1:
+                del counts[src]
+            else:
+                counts[src] -= 1
+            counts[dst] = counts.get(dst, 0) + 1
+            # the edge (node, nb) now joins dst, not src, to nb's community
+            cn = p.assign[nb]
+            if cn != src:
+                if src_links[cn] == 1:
+                    del src_links[cn], comm_links[cn][src]
+                else:
+                    src_links[cn] -= 1
+                    comm_links[cn][src] -= 1
+            if cn != dst:
+                dst_links[cn] = dst_links.get(cn, 0) + 1
+                comm_links[cn][dst] = comm_links[cn].get(dst, 0) + 1
+        p.comms[src].discard(node)
+        p.comms[dst].add(node)
+        p.assign[node] = dst
 
     # ----- raw appliers (no acceptance test) -----------------------------
 
@@ -127,32 +194,27 @@ class SurpriseState:
         self.M += dM
         self.ell += dell
         self.S = S_new
-        # plans hold community ids and deltas of the old state
+        # plans and rejections hold community ids and deltas of the old state
         self._plans.clear()
+        self._rejected.clear()
+
+    def _new_comm(self) -> int:
+        self.partition.comms.append(set())
+        self._comm_links.append({})
+        return self.partition.Nc - 1
 
     def _apply_merge(self, cA: int, cB: int, dM: int, dell: int, S_new: float) -> None:
-        p = self.partition
-        for node in p.comms[cB]:
-            p.assign[node] = cA
-        p.comms[cA] |= p.comms[cB]
-        p.comms[cB] = set()
+        for node in list(self.partition.comms[cB]):
+            self._relocate(node, cB, cA)
         self._remove_comm(cB)
         self._commit(dM, dell, S_new)
 
     def _apply_move_node(self, node: int, cTo: int, dM: int, dell: int, S_new: float) -> None:
-        p = self.partition
-        src = p.assign[node]
-        p.comms[src].discard(node)
-        p.comms[cTo].add(node)
-        p.assign[node] = cTo
+        self._relocate(node, self.partition.assign[node], cTo)
         self._commit(dM, dell, S_new)
 
     def _apply_extract(self, node: int, dM: int, dell: int, S_new: float) -> None:
-        p = self.partition
-        src = p.assign[node]
-        p.comms[src].discard(node)
-        p.comms.append({node})
-        p.assign[node] = p.Nc - 1
+        self._relocate(node, self.partition.assign[node], self._new_comm())
         self._commit(dM, dell, S_new)
 
     def _apply_move_set(self, nodes: set[int], cTo: int | None, dM: int, dell: int, S_new: float) -> None:
@@ -160,12 +222,9 @@ class SurpriseState:
         p = self.partition
         src = p.assign[next(iter(nodes))]
         if cTo is None:
-            p.comms.append(set())
-            cTo = p.Nc - 1
+            cTo = self._new_comm()
         for node in nodes:
-            p.comms[src].discard(node)
-            p.comms[cTo].add(node)
-            p.assign[node] = cTo
+            self._relocate(node, src, cTo)
         if not p.comms[src]:
             self._remove_comm(src)
         self._commit(dM, dell, S_new)
@@ -374,10 +433,13 @@ class SurpriseState:
         exchange a node between them; then extract nodes to exhaustion, then
         extract sub-communities to exhaustion, then exchange sub-communities
         with every other community to exhaustion.  Repeats while anything
-        was accepted.  Returns acceptance counts per move kind.
+        was accepted.  A merge or exchange already rejected since the last
+        applied move is not tried again (see the module docstring).
+        Returns acceptance counts per move kind.
         """
         counts = {kind: 0 for kind in MOVE_KINDS}
         p = self.partition
+        rejected = self._rejected
         changed = True
         while changed:
             changed = False
@@ -391,21 +453,28 @@ class SurpriseState:
                         cj = p.assign[nb]
                         if cj == ci:
                             continue
-                        if self.merge(ci, cj).accepted:
-                            counts["merge"] += 1
-                            changed = True
-                            ci = p.assign[node]
-                            continue
+                        key = ("merge", ci, cj) if ci < cj else ("merge", cj, ci)
+                        if key not in rejected:
+                            if self.merge(ci, cj).accepted:
+                                counts["merge"] += 1
+                                changed = True
+                                ci = p.assign[node]
+                                continue
+                            rejected.add(key)
                         moved = False
-                        if len(p.comms[ci]) > 1:
+                        if len(p.comms[ci]) > 1 and ("exchange", node, cj) not in rejected:
                             if self.exchange(node, cj).accepted:
                                 counts["exchange"] += 1
                                 changed = True
                                 moved = True
-                        if not moved and len(p.comms[cj]) > 1:
+                            else:
+                                rejected.add(("exchange", node, cj))
+                        if not moved and len(p.comms[cj]) > 1 and ("exchange", nb, ci) not in rejected:
                             if self.exchange(nb, ci).accepted:
                                 counts["exchange"] += 1
                                 changed = True
+                            else:
+                                rejected.add(("exchange", nb, ci))
                         if moved:
                             break  # node left ci; go to the next member
                 # extract to exhaustion
@@ -610,7 +679,7 @@ class SurpriseState:
         return out
 
     def verify(self) -> bool:
-        """True iff the cached M, ell, S match a from-scratch recomputation."""
+        """True iff the cached M, ell, S and link tables match a from-scratch recomputation."""
         p = self.partition
         if sorted(p.assign) and p.Nc != max(p.assign) + 1:
             return False
@@ -620,6 +689,8 @@ class SurpriseState:
             if node not in p.comms[cid]:
                 return False
         if sum(len(c) for c in p.comms) != self.graph.K:
+            return False
+        if (self._node_links, self._comm_links) != self._count_links():
             return False
         M, ell, S = partition_stats(self.graph, p)
         return M == self.M and ell == self.ell and abs(S - self.S) < 1e-9

@@ -74,6 +74,17 @@ class TestDetect:
         assert code == 0
         assert float(dict(kv.split("=") for kv in out.split())["S"]) >= greedy
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--anneal-steps", -5), ("--anneal-T", 0), ("--anneal-T", -0.5), ("--anneal-T", "nan")],
+    )
+    def test_bad_anneal_flags_fail(self, capsys, toy_edges, flags):
+        # rejected even with --anneal-steps 0, where the temperature is never used
+        code = main(["detect", "--graph", str(toy_edges), *map(str, flags)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBench:
     def test_our_round_trip(self, capsys, tmp_path):

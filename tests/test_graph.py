@@ -83,6 +83,16 @@ class TestQueries:
         assert sub.n == 4
         assert sub.connected(0, 3)  # 4 and 10
 
+    @given(st.data())
+    def test_subgraph_matches_edge_filter(self, data):
+        g = data.draw(graphs())
+        nodes = data.draw(st.sets(st.integers(0, g.K - 1), min_size=1))
+        sub, order = g.subgraph(nodes)
+        assert order == sorted(nodes)
+        index = {u: i for i, u in enumerate(order)}
+        filtered = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+        assert sub == Graph(len(order), filtered)
+
 
 class TestIO:
     def test_round_trip(self, toy, tmp_path):

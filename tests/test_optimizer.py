@@ -10,7 +10,7 @@ from surpkit.benchmarks import build_benchmark
 from surpkit.datasets import disconnected_cliques, toy_graph
 from surpkit.exhaustive import best_surprise_partitions
 from surpkit.graph import Graph
-from surpkit.optimizer import TIE_EPS, SurpriseState, sample_partitions
+from surpkit.optimizer import MOVE_KINDS, TIE_EPS, SurpriseState, sample_partitions
 from surpkit.partition import Partition
 from surpkit.surprise import partition_stats, surprise
 
@@ -36,6 +36,111 @@ def graphs_with_partitions(draw, max_k=9, max_nc=4):
     g = draw(random_graphs(min_k=4, max_k=max_k))
     assign = draw(st.lists(st.integers(0, max_nc - 1), min_size=g.K, max_size=g.K))
     return g, Partition(assign)
+
+
+def degraded_k63(seed):
+    """A degraded benchmark of four 15-cliques, 63 nodes with its singletons."""
+    net = build_benchmark([15, 15, 15, 15], r=0.05, rng=seed)
+    net.degrade_p(0.4)
+    net.degrade_q(0.05)
+    return net.graph
+
+
+def reference_stepper(state):
+    """stepper() as it was before the rejected-move set, through the public moves only."""
+    counts = {kind: 0 for kind in MOVE_KINDS}
+    p = state.partition
+    changed = True
+    while changed:
+        changed = False
+        ci = 0
+        while ci < p.Nc:
+            for node in sorted(p.comms[ci]):
+                if p.assign[node] != ci:
+                    continue
+                for nb in state.graph.neighbors(node):
+                    cj = p.assign[nb]
+                    if cj == ci:
+                        continue
+                    if state.merge(ci, cj).accepted:
+                        counts["merge"] += 1
+                        changed = True
+                        ci = p.assign[node]
+                        continue
+                    moved = False
+                    if len(p.comms[ci]) > 1:
+                        if state.exchange(node, cj).accepted:
+                            counts["exchange"] += 1
+                            changed = True
+                            moved = True
+                    if not moved and len(p.comms[cj]) > 1:
+                        if state.exchange(nb, ci).accepted:
+                            counts["exchange"] += 1
+                            changed = True
+                    if moved:
+                        break
+            success = True
+            while success and len(p.comms[ci]) > 1:
+                success = False
+                for node in sorted(p.comms[ci]):
+                    if len(p.comms[ci]) <= 1:
+                        break
+                    if state.extract(node).accepted:
+                        counts["extract"] += 1
+                        changed = True
+                        success = True
+            while len(p.comms[ci]) > 1 and state.sub_extract(ci).accepted:
+                counts["sub_extract"] += 1
+                changed = True
+            success = True
+            while success and len(p.comms[ci]) > 1:
+                success = False
+                for cj in range(p.Nc):
+                    if cj == ci or len(p.comms[ci]) < 2:
+                        continue
+                    if state.sub_exchange(ci, cj).accepted:
+                        counts["sub_exchange"] += 1
+                        changed = True
+                        success = True
+            ci += 1
+    return counts
+
+
+def assert_tables_recounted(state):
+    assert (state._node_links, state._comm_links) == state._count_links()
+
+
+def apply_move(state, move):
+    """Apply one move as check_deltas() describes it, with no acceptance test."""
+    kind = move[0]
+    if kind == "merge":
+        state._apply_merge(move[1], move[2], *state._merge_delta(move[1], move[2]), 0.0)
+    elif kind == "exchange":
+        state._apply_move_node(move[1], move[2], *state._move_node_delta(move[1], move[2]), 0.0)
+    elif kind == "extract":
+        state._apply_extract(move[1], *state._extract_delta(move[1]), 0.0)
+    else:
+        nodes = set(move[2])
+        cTo = None if kind == "sub_extract" else move[3]
+        state._apply_move_set(nodes, cTo, *state._move_set_delta(nodes, cTo), 0.0)
+
+
+def apply_every_move(g, p):
+    """Apply each legal move to a fresh state and recount the link tables after it.
+
+    Returns the labels of the bookkeeping cases met: a merge that renumbers
+    the last community, and a sub-community extraction that appends an id.
+    """
+    cases = set()
+    for move, _ in SurpriseState(g, p).check_deltas():
+        if move[0] == "merge" and move[2] != p.Nc - 1:
+            cases.add("renumbering merge")
+        if move[0] == "sub_extract":
+            cases.add("appending sub_extract")
+        state = SurpriseState(g, p)
+        apply_move(state, move)
+        assert_tables_recounted(state)
+    return cases
 
 
 def sub_scan(state, kind, cid, cTo=None):
@@ -191,10 +296,7 @@ class TestStepper:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_degraded_benchmark_fixed_point(self, seed):
-        net = build_benchmark([15, 15, 15, 15], r=0.05, rng=seed)
-        net.degrade_p(0.4)
-        net.degrade_q(0.05)
-        state = SurpriseState(net.graph, rng=seed)
+        state = SurpriseState(degraded_k63(seed), rng=seed)
         state.stepper()
         assert state.graph.K == 63 and state.verify()
         assert all(dS <= 1e-12 for _, dS in state.check_deltas())
@@ -304,6 +406,54 @@ class TestSubPlan:
         assert not out.accepted and out.deltaS == max(dS for _, dS in scan)
 
 
+class TestRejectedMoves:
+    """stepper() with its rejected-move set against the loop that re-prices every move."""
+
+    @staticmethod
+    def assert_same_run(g, p=None, seed=0):
+        fast, ref = SurpriseState(g, p, rng=seed), SurpriseState(g, p, rng=seed)
+        assert fast.stepper() == reference_stepper(ref)
+        assert fast.partition.assign == ref.partition.assign
+        assert fast.S == ref.S
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions(max_k=14, max_nc=6))
+    def test_matches_reference_from_any_start(self, gp):
+        self.assert_same_run(*gp)
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_graphs(min_k=8, max_k=20))
+    def test_matches_reference_from_singletons(self, g):
+        self.assert_same_run(g)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_on_degraded_benchmark(self, seed):
+        self.assert_same_run(degraded_k63(seed), seed=seed)
+
+
+class TestLinkTables:
+    """The incremental link counts against a recount from scratch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_with_partitions())
+    def test_recount_after_every_move(self, gp):
+        apply_every_move(*gp)
+
+    def test_recount_covers_renumbering_and_new_ids(self, toy):
+        p = Partition.from_communities([[0, 1, 2, 3, 8, 9], [4, 5, 6, 7], [10]])
+        assert apply_every_move(toy, p) == {"renumbering merge", "appending sub_extract"}
+
+    def test_recount_after_stepper_anneal_and_shake(self, toy):
+        state = SurpriseState(toy, rng=5)
+        state.stepper()
+        assert_tables_recounted(state)
+        for _ in range(10):
+            state.anneal_step(1.0)
+            assert_tables_recounted(state)
+        state.shake()
+        assert_tables_recounted(state)
+
+
 class TestAnneal:
     def test_temperature_domain(self, toy):
         state = SurpriseState(toy, rng=0)
@@ -374,17 +524,7 @@ class TestCheckDeltasAndVerify:
         state = SurpriseState(toy, p)
         for move, dS in state.check_deltas():
             fresh = SurpriseState(toy, p)
-            kind = move[0]
-            if kind == "merge":
-                fresh._apply_merge(move[1], move[2], *fresh._merge_delta(move[1], move[2]), 0.0)
-            elif kind == "exchange":
-                fresh._apply_move_node(move[1], move[2], *fresh._move_node_delta(move[1], move[2]), 0.0)
-            elif kind == "extract":
-                fresh._apply_extract(move[1], *fresh._extract_delta(move[1]), 0.0)
-            elif kind == "sub_extract":
-                fresh._apply_move_set(set(move[2]), None, *fresh._move_set_delta(set(move[2]), None), 0.0)
-            else:
-                fresh._apply_move_set(set(move[2]), move[3], *fresh._move_set_delta(set(move[2]), move[3]), 0.0)
+            apply_move(fresh, move)
             _, _, S_new = partition_stats(toy, fresh.partition)
             assert S_new - state.S == pytest.approx(dS, abs=1e-9)
 
@@ -392,6 +532,16 @@ class TestCheckDeltasAndVerify:
         state = SurpriseState(toy, truth)
         assert state.verify()
         state.ell += 1
+        assert not state.verify()
+        # truth is {0..3}, {4..7}, {8, 9, 10}; only the path community links out
+        state = SurpriseState(toy, truth)
+        state._node_links[0][0] += 1
+        assert not state.verify()
+        state = SurpriseState(toy, truth)
+        state._comm_links[0][2] += 1
+        assert not state.verify()
+        state = SurpriseState(toy, truth)
+        state._comm_links[0][1] = 0  # a zero count must be dropped
         assert not state.verify()
 
     @settings(max_examples=5, deadline=None)
