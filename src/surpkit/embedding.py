@@ -5,6 +5,24 @@ chi^2 = sum_{i<j, d_ij < d_lim} d_ij^gamma (d_ij - |r_i - r_j|)^2,
 with an adaptive step size; the peak walk summarizes how concentrated the
 top-quality partitions are by walking them in order of quality and
 accumulating the distance covered.
+
+Everything in a stress evaluation that depends only on D (the cut-off
+mask, the weights w and m2w = -2 (w + w^T)) is built once per ``embed()``
+by ``_weights``, and each descent step is priced by ``_stress``.  The
+kernel returns the same bits as the direct evaluation, which builds the
+(N, N, 2) array of differences r_i - r_j, takes
+coef = -2.0 * (w + w^T) * resid / e and sums coef_ij (r_i - r_j) over
+the middle axis (the tests keep it as the reference, on C-ordered
+coordinates as ``embed`` uses):
+
+* hoisting m2w keeps the bits: ``-2.0 * w_full * resid / e`` evaluates
+  left to right, so its first product is exactly m2w;
+* the kernel keeps ``dx[j, i] = x_i - x_j`` and sums ``coef.T * dx``
+  over axis 0 of a C-contiguous array, which adds the terms over j one
+  by one in index order, as the reduction over the middle axis does;
+* no symmetry of D is assumed.  D need only be symmetric within
+  ``np.allclose``, so coef is not bitwise symmetric, and the gradient
+  is summed from ``coef.T``, never from ``coef``.
 """
 
 from __future__ import annotations
@@ -37,6 +55,10 @@ def _validate_D(D: np.ndarray) -> np.ndarray:
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("distance matrix must be square")
+    if D.shape[0] == 0:
+        raise ValueError("distance matrix must not be empty")
+    if not np.isfinite(D).all():
+        raise ValueError("distances must be finite")
     if not np.allclose(D, D.T):
         raise ValueError("distance matrix must be symmetric")
     if not np.allclose(np.diag(D), 0.0):
@@ -44,6 +66,40 @@ def _validate_D(D: np.ndarray) -> np.ndarray:
     if (D < 0).any():
         raise ValueError("distances must be non-negative")
     return D
+
+
+def _weights(D: np.ndarray, gamma_exp: float, d_lim: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pair weights w (upper triangle) and m2w = -2 (w + w^T) for a validated D."""
+    mask = np.triu(D < d_lim, k=1)
+    zero_d = mask & (D == 0.0)
+    if gamma_exp < 0.0 and zero_d.any():
+        warnings.warn(
+            "zero distances excluded: weight d^gamma undefined for negative gamma",
+            stacklevel=3,
+        )
+        mask &= D > 0.0
+    with np.errstate(divide="ignore"):
+        w = np.where(mask, np.where(D > 0, D, 1.0) ** gamma_exp, 0.0)
+    return w, -2.0 * (w + w.T)
+
+
+def _stress(
+    coords: np.ndarray, D: np.ndarray, w: np.ndarray, m2w: np.ndarray
+) -> tuple[float, np.ndarray, float]:
+    """chi^2, its gradient and the gradient norm, given the weights of ``_weights``."""
+    x, y = coords[:, 0], coords[:, 1]
+    dx = x[None, :] - x[:, None]  # dx[j, i] = x_i - x_j
+    dy = y[None, :] - y[:, None]
+    e = np.sqrt(dx * dx + dy * dy).T
+    resid = D - e
+    chi2 = float((w * resid ** 2).sum())
+    # d chi2 / d r_i = sum_j 2 w_ij (d_ij - e_ij) * (-(r_i - r_j)/e_ij)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        coef = np.where(e > 0.0, m2w * resid / e, 0.0)
+    grad = np.empty((coords.shape[0], 2))
+    grad[:, 0] = (coef.T * dx).sum(axis=0)
+    grad[:, 1] = (coef.T * dy).sum(axis=0)
+    return chi2, grad, float(np.sqrt((grad ** 2).sum()))
 
 
 def chi_grad(
@@ -60,26 +116,7 @@ def chi_grad(
     N = D.shape[0]
     if coords.shape != (N, 2):
         raise ValueError(f"coordinates must be shaped ({N}, 2)")
-    diff = coords[:, None, :] - coords[None, :, :]
-    e = np.sqrt((diff ** 2).sum(axis=2))
-    mask = np.triu(D < d_lim, k=1)
-    zero_d = mask & (D == 0.0)
-    if gamma_exp < 0.0 and zero_d.any():
-        warnings.warn(
-            "zero distances excluded: weight d^gamma undefined for negative gamma",
-            stacklevel=2,
-        )
-        mask &= D > 0.0
-    with np.errstate(divide="ignore"):
-        w = np.where(mask, np.where(D > 0, D, 1.0) ** gamma_exp, 0.0)
-    resid = D - e
-    chi2 = float((w * resid ** 2).sum())
-    # d chi2 / d r_i = sum_j 2 w_ij (d_ij - e_ij) * (-(r_i - r_j)/e_ij)
-    w_full = w + w.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(e > 0.0, -2.0 * w_full * resid / e, 0.0)
-    grad = (coef[:, :, None] * diff).sum(axis=1)
-    return chi2, grad, float(np.sqrt((grad ** 2).sum()))
+    return _stress(coords, D, *_weights(D, gamma_exp, d_lim))
 
 
 def embed(
@@ -101,7 +138,8 @@ def embed(
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     coords = rng.random((N, 2))
     lamb = config.lamb
-    chi2, grad, gnorm = chi_grad(coords, D, config.gamma_exp, config.d_lim)
+    w, m2w = _weights(D, config.gamma_exp, config.d_lim)
+    chi2, grad, gnorm = _stress(coords, D, w, m2w)
     stalled = 0
     while True:
         if gnorm / (2 * N) < config.eps:
@@ -111,7 +149,7 @@ def embed(
         if stalled >= config.stall_limit:
             return coords, chi2, gnorm, "stalled"
         trial = coords - lamb * grad
-        t_chi2, t_grad, t_gnorm = chi_grad(trial, D, config.gamma_exp, config.d_lim)
+        t_chi2, t_grad, t_gnorm = _stress(trial, D, w, m2w)
         if t_chi2 < chi2:
             coords, chi2, grad, gnorm = trial, t_chi2, t_grad, t_gnorm
             lamb *= 1.0 + config.adj

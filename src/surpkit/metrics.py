@@ -32,8 +32,7 @@ def vi(a: Partition, b: Partition, normalized: bool = False) -> float:
     if a.canonical() == b.canonical():
         return 0.0  # exact zero for relabel-identical partitions
     joint = np.zeros((a.Nc, b.Nc))
-    for node in range(K):
-        joint[a.assign[node], b.assign[node]] += 1.0
+    np.add.at(joint, (a.assign, b.assign), 1.0)
     joint /= K
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
@@ -42,12 +41,13 @@ def vi(a: Partition, b: Partition, normalized: bool = False) -> float:
         nz = p[p > 0]
         return float(-(nz * np.log(nz)).sum())
 
+    # Python floats over the nonzero cells in row-major order: the same
+    # operations in the same order as a double loop over numpy scalars
+    rows, cols = np.nonzero(joint)
+    pa_l, pb_l = pa.tolist(), pb.tolist()
     mutual = 0.0
-    for i in range(a.Nc):
-        for j in range(b.Nc):
-            pij = joint[i, j]
-            if pij > 0:
-                mutual += pij * math.log(pij / (pa[i] * pb[j]))
+    for i, j, pij in zip(rows.tolist(), cols.tolist(), joint[rows, cols].tolist()):
+        mutual += pij * math.log(pij / (pa_l[i] * pb_l[j]))
     value = entropy(pa) + entropy(pb) - 2.0 * mutual
     value = max(value, 0.0)  # clamp tiny negative rounding residue
     if normalized:

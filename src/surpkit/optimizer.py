@@ -435,11 +435,21 @@ class SurpriseState:
         with every other community to exhaustion.  Repeats while anything
         was accepted.  A merge or exchange already rejected since the last
         applied move is not tried again (see the module docstring).
+
+        A sub-community exchange of ci into cj is not called when no block
+        of ci's plan links to cj and no block's extraction raises S by more
+        than TIE_EPS.  sub_exchange would skip every block unpriced under
+        that same test (see its docstring) and reject without applying
+        anything, so the call changes no state.  The plan is read afresh
+        for every cj, because each applied move drops it (and changes S);
+        the test is redone whenever the plan is a new object.
+
         Returns acceptance counts per move kind.
         """
         counts = {kind: 0 for kind in MOVE_KINDS}
         p = self.partition
         rejected = self._rejected
+        seen_plan = None
         changed = True
         while changed:
             changed = False
@@ -499,6 +509,13 @@ class SurpriseState:
                     for cj in range(p.Nc):
                         if cj == ci or len(p.comms[ci]) < 2:
                             continue
+                        plan = self._plan(ci)
+                        if plan is not seen_plan:
+                            seen_plan = plan
+                            clears = any(blk.S_extract - self.S > TIE_EPS for blk in plan)
+                            linked = set().union(*(blk.links for blk in plan))
+                        if not clears and cj not in linked:
+                            continue  # sub_exchange would skip every block
                         if self.sub_exchange(ci, cj).accepted:
                             counts["sub_exchange"] += 1
                             changed = True

@@ -5,6 +5,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
+def _first_appearance(assign: Sequence[int]) -> list[int]:
+    """Relabel community ids densely, in order of first appearance."""
+    remap: dict[int, int] = {}
+    return [remap.setdefault(cid, len(remap)) for cid in assign]
+
+
 class Partition:
     """A division of nodes ``0..K-1`` into communities.
 
@@ -18,15 +24,9 @@ class Partition:
     def __init__(self, assign: Sequence[int]):
         if len(assign) == 0:
             raise ValueError("empty assignment")
-        # densify ids in order of first appearance
-        remap: dict[int, int] = {}
-        dense = []
-        for cid in assign:
-            if cid not in remap:
-                remap[cid] = len(remap)
-            dense.append(remap[cid])
+        dense = _first_appearance(assign)
         self.assign: list[int] = dense
-        self.comms: list[set[int]] = [set() for _ in range(len(remap))]
+        self.comms: list[set[int]] = [set() for _ in range(max(dense) + 1)]
         for node, cid in enumerate(dense):
             self.comms[cid].add(node)
 
@@ -72,7 +72,7 @@ class Partition:
 
     def canonical(self) -> tuple[int, ...]:
         """Relabeling-invariant form (ids by first appearance)."""
-        return tuple(Partition(self.assign).assign)
+        return tuple(_first_appearance(self.assign))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):

@@ -259,6 +259,26 @@ class TestLandscape:
         assert len(lines) == 6
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0\n", "must not be empty"),
+            ("2\n0 nan\nnan 0\n", "must be finite"),
+            ("2\n0 inf\ninf 0\n", "must be finite"),
+        ],
+    )
+    def test_broken_matrix_fails(self, capsys, tmp_path, text, message):
+        dist = tmp_path / "dist.txt"
+        dist.write_text(text)
+        coords_out = tmp_path / "coords.tsv"
+        code = main(["landscape", "embed", "--dist", str(dist), "--out", str(coords_out)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not coords_out.exists()
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         edges = tmp_path / "toy.edges"

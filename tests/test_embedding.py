@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surpkit.embedding import (
     EmbeddingConfig,
@@ -22,6 +25,84 @@ def planar_distances(N, seed=0):
 
 def pairwise(coords):
     return np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+
+
+def reference_chi_grad(coords, D, gamma_exp=-1.0, d_lim=1.0):
+    """The stress kernel priced from scratch on every call, with the (N, N, 2) difference array."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    e = np.sqrt((diff ** 2).sum(axis=2))
+    mask = np.triu(D < d_lim, k=1)
+    if gamma_exp < 0.0:
+        mask &= D > 0.0
+    with np.errstate(divide="ignore"):
+        w = np.where(mask, np.where(D > 0, D, 1.0) ** gamma_exp, 0.0)
+    resid = D - e
+    chi2 = float((w * resid ** 2).sum())
+    w_full = w + w.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        coef = np.where(e > 0.0, -2.0 * w_full * resid / e, 0.0)
+    grad = (coef[:, :, None] * diff).sum(axis=1)
+    return chi2, grad, float(np.sqrt((grad ** 2).sum()))
+
+
+def reference_embed(D, config, rng):
+    """The descent loop of embed() over reference_chi_grad."""
+    N = D.shape[0]
+    rng = np.random.default_rng(rng)
+    coords = rng.random((N, 2))
+    lamb = config.lamb
+    chi2, grad, gnorm = reference_chi_grad(coords, D, config.gamma_exp, config.d_lim)
+    stalled = 0
+    while True:
+        if gnorm / (2 * N) < config.eps:
+            return coords, chi2, gnorm, "converged"
+        if lamb < config.lamb_floor:
+            return coords, chi2, gnorm, "step underflow"
+        if stalled >= config.stall_limit:
+            return coords, chi2, gnorm, "stalled"
+        trial = coords - lamb * grad
+        t_chi2, t_grad, t_gnorm = reference_chi_grad(trial, D, config.gamma_exp, config.d_lim)
+        if t_chi2 < chi2:
+            coords, chi2, grad, gnorm = trial, t_chi2, t_grad, t_gnorm
+            lamb *= 1.0 + config.adj
+            stalled = 0
+        else:
+            lamb *= 1.0 - config.adj
+            stalled += 1
+
+
+def same_bits(a, b):
+    return (
+        np.float64(a[0]).tobytes() == np.float64(b[0]).tobytes()
+        and a[1].tobytes() == b[1].tobytes()
+        and np.float64(a[2]).tobytes() == np.float64(b[2]).tobytes()
+    )
+
+
+@st.composite
+def stress_cases(draw):
+    """Coordinates and a distance matrix with ties, zeros, coincident points and near-symmetry."""
+    N = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.random((N, 2))
+    D = pairwise(pts) * draw(st.sampled_from([0.3, 1.0, 4.0]))
+    if draw(st.booleans()):
+        D = np.round(D, 1)  # tied distances, and zeros between nearby points
+    if N > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1))
+        if i != j:
+            D[i, j] = D[j, i] = 0.0
+    if draw(st.booleans()):
+        D = D + rng.random((N, N)) * 1e-10  # symmetric only within np.allclose
+        np.fill_diagonal(D, 0.0)
+    coords = rng.random((N, 2))
+    if draw(st.booleans()):
+        coords = np.round(coords, 1)  # coincident points
+    if N > 1 and draw(st.booleans()):
+        coords[-1] = coords[0]
+    gamma_exp = draw(st.sampled_from([-1.0, 0.0, 1.5]))
+    d_lim = draw(st.sampled_from([0.5, 1.0, 10.0]))
+    return coords, D, gamma_exp, d_lim
 
 
 class TestChiGrad:
@@ -59,13 +140,23 @@ class TestChiGrad:
 
     def test_zero_distance_warning(self):
         D = np.zeros((2, 2))
-        with pytest.warns(UserWarning, match="zero distances"):
+        with pytest.warns(UserWarning, match="zero distances") as rec:
             chi2, _, _ = chi_grad(np.ones((2, 2)), D, -1.0, 1.0)
+        assert rec[0].filename == __file__  # attributed to the caller
         assert chi2 == 0.0
 
     def test_invalid_matrix(self):
         with pytest.raises(ValueError):
             chi_grad(np.zeros((2, 2)), np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(stress_cases())
+    def test_bit_identical_to_reference(self, case):
+        coords, D, gamma_exp, d_lim = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = chi_grad(coords, D, gamma_exp, d_lim)
+        assert same_bits(got, reference_chi_grad(coords, D, gamma_exp, d_lim))
 
 
 class TestEmbed:
@@ -99,6 +190,44 @@ class TestEmbed:
         a = embed(D, cfg, rng=7)
         b = embed(D, cfg, rng=7)
         assert np.array_equal(a[0], b[0])
+
+    @pytest.mark.parametrize(
+        "seed, decimals, d_lim, reason",
+        [(0, None, 10.0, "converged"), (1, 2, 0.6, "step underflow"), (4, 2, 0.6, "step underflow")],
+    )
+    def test_identical_to_reference_loop(self, seed, decimals, d_lim, reason):
+        _, D = planar_distances(12, seed=seed + 20)
+        if decimals is not None:
+            D = np.round(D, decimals)  # no longer planar: the descent stops short of zero stress
+        cfg = EmbeddingConfig(d_lim=d_lim)
+        got = embed(D, cfg, rng=seed)
+        want = reference_embed(D, cfg, seed)
+        assert got[3] == reason
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+
+    def test_identical_to_reference_loop_when_stalled(self):
+        N = 6
+        D = np.ones((N, N))  # six equidistant points do not fit in the plane
+        np.fill_diagonal(D, 0.0)
+        D[0, 1] += 1e-10  # symmetric only within np.allclose
+        cfg = EmbeddingConfig(d_lim=2.0, stall_limit=20)
+        got = embed(D, cfg, rng=0)
+        want = reference_embed(D, cfg, 0)
+        assert got[3] == "stalled"
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+
+    def test_zero_distance_warning(self):
+        D = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        cfg = EmbeddingConfig(stall_limit=50)
+        with pytest.warns(UserWarning, match="zero distances") as rec:
+            got = embed(D, cfg, rng=3)
+        assert len(rec) == 1  # the weights are built once per embed
+        assert rec[0].filename == __file__
+        want = reference_embed(D, cfg, 3)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

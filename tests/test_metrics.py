@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,60 @@ def partition_pairs(draw, max_k=60):
     a = draw(partitions_of(K))
     b = draw(partitions_of(K))
     return a, b
+
+
+def reference_vi(a, b):
+    """VI filled and summed element by element over numpy scalars."""
+    K = a.K
+    if tuple(Partition(a.assign).assign) == tuple(Partition(b.assign).assign):
+        return 0.0
+    joint = np.zeros((a.Nc, b.Nc))
+    for node in range(K):
+        joint[a.assign[node], b.assign[node]] += 1.0
+    joint /= K
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+
+    def entropy(p):
+        nz = p[p > 0]
+        return float(-(nz * np.log(nz)).sum())
+
+    mutual = 0.0
+    for i in range(a.Nc):
+        for j in range(b.Nc):
+            pij = joint[i, j]
+            if pij > 0:
+                mutual += pij * math.log(pij / (pa[i] * pb[j]))
+    return max(entropy(pa) + entropy(pb) - 2.0 * mutual, 0.0)
+
+
+def permuted_ids(draw, p):
+    """p with its dense ids permuted in place, as the optimizer leaves them:
+    no longer numbered in order of first appearance."""
+    perm = draw(st.permutations(range(p.Nc)))
+    q = p.copy()
+    q.assign = [perm[c] for c in p.assign]
+    q.comms = [set() for _ in p.comms]
+    for node, c in enumerate(q.assign):
+        q.comms[c].add(node)
+    return q
+
+
+@st.composite
+def relabeled_pairs(draw, max_k=60):
+    """A partition and a copy with a few nodes moved, both with permuted ids."""
+    K = draw(st.integers(2, max_k))
+    a = draw(partitions_of(K))
+    assign = list(a.assign)
+    for node in draw(st.lists(st.integers(0, K - 1), max_size=3)):
+        assign[node] = draw(st.integers(0, a.Nc))
+    return permuted_ids(draw, a), permuted_ids(draw, Partition(assign))
+
+
+@st.composite
+def random_pairs(draw, max_k=60):
+    a, b = draw(partition_pairs(max_k))
+    return permuted_ids(draw, a), permuted_ids(draw, b)
 
 
 def scheme_fixture():
@@ -83,6 +138,15 @@ class TestVI:
         b = data.draw(partitions_of(K))
         c = data.draw(partitions_of(K))
         assert vi(a, c) <= vi(a, b) + vi(b, c) + 1e-9
+
+    @settings(max_examples=300)
+    @given(st.one_of(relabeled_pairs(), random_pairs()))
+    def test_bit_identical_to_reference(self, pair):
+        a, b = pair
+        assert a.canonical() == tuple(Partition(a.assign).assign)
+        got, want = vi(a, b), reference_vi(a, b)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert vi(a, b, normalized=True) == want / math.log(a.K)
 
     @given(partition_pairs(max_k=40))
     def test_bounded_by_lnK(self, pair):

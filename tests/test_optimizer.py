@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -44,6 +45,18 @@ def degraded_k63(seed):
     net.degrade_p(0.4)
     net.degrade_q(0.05)
     return net.graph
+
+
+def sparse_random_case(seed):
+    """A G(K, p) graph, K in [6, 30] and p in [0.1, 0.5], and for odd seeds a
+    random start partition with ids below 6, drawn from ``random.Random(seed)``."""
+    r = random.Random(seed)
+    K = r.randint(6, 30)
+    p = r.uniform(0.1, 0.5)
+    g = Graph(K, [(i, j) for i in range(K) for j in range(i + 1, K) if r.random() < p])
+    if seed % 2 == 0:
+        return g, None
+    return g, Partition([r.randrange(r.randint(1, 6)) for _ in range(K)])
 
 
 def reference_stepper(state):
@@ -429,6 +442,32 @@ class TestRejectedMoves:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_on_degraded_benchmark(self, seed):
         self.assert_same_run(degraded_k63(seed), seed=seed)
+
+    @pytest.mark.parametrize("seed", [197, 1234])
+    def test_matches_reference_when_extraction_reopens(self, seed):
+        # an applied sub_exchange leaves a block whose extraction clears
+        # TIE_EPS: skipping the targets it has no link to would miss a move
+        self.assert_same_run(*sparse_random_case(seed), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_skips_sub_exchanges_no_block_could_make(self, seed, monkeypatch):
+        calls = []
+        priced = SurpriseState.sub_exchange
+
+        def counted(state, cid, cTo):
+            calls.append((cid, cTo))
+            return priced(state, cid, cTo)
+
+        monkeypatch.setattr(SurpriseState, "sub_exchange", counted)
+        g = degraded_k63(seed)
+        fast = SurpriseState(g, rng=seed)
+        counts = fast.stepper()
+        fast_calls = len(calls)
+        ref = SurpriseState(g, rng=seed)
+        assert reference_stepper(ref) == counts
+        assert fast.partition.assign == ref.partition.assign
+        assert fast.S == ref.S
+        assert 0 < fast_calls < len(calls) - fast_calls
 
 
 class TestLinkTables:
