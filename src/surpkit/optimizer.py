@@ -20,6 +20,13 @@ community and the target.  Until a move is applied none of these
 changes, so a repeated call would price the same (M, ell) and be
 rejected again.  Applying any move clears the record, which also covers
 the renumbering of community ids.
+
+A community whose induced subgraph is complete or edgeless has its
+singletons as sub-communities, found without recursing.  Such a subgraph
+has n = F or n = 0 links, where every partition has surprise exactly 0.0,
+so the recursive greedy loop from singletons would accept nothing; it
+draws nothing from the rng either, so skipping it leaves the rng stream
+unchanged (argument in subcommunities()).
 """
 
 from __future__ import annotations
@@ -309,11 +316,31 @@ class SurpriseState:
         return MoveOutcome(False, dS, "extract")
 
     def subcommunities(self, cid: int) -> list[set[int]]:
-        """Sub-communities of one community, via greedy recursion on its subgraph."""
+        """Sub-communities of one community, via greedy recursion on its subgraph.
+
+        A community whose induced subgraph is complete or edgeless is
+        answered in closed form, without the recursion: its singletons, in
+        ascending node order.  Its internal link count is read from the link
+        table.  The subgraph then has n = F (complete) or n = 0 (edgeless),
+        and surprise(F, M, n, ell) is exactly 0.0 for every feasible (M,
+        ell): feasibility forces ell = M or ell = 0, so every ln_choose in
+        lt0 is ln C(m, m) or ln C(m, 0), that is t[m] - t[0] - t[m] = 0.0,
+        and the term loop is empty.  Starting from singletons, with S = 0.0,
+        no move clears TIE_EPS, so the recursive stepper() accepts nothing
+        and returns the singletons in Graph.subgraph's ascending relabel
+        order.  That order matters: _anneal_propose draws a block by index.
+        stepper() draws nothing from the rng, so skipping it leaves the rng
+        stream as it was.
+        """
         self._check_comm(cid)
         members = self.partition.comms[cid]
-        if len(members) < 2:
+        c = len(members)
+        if c < 2:
             return [set(members)]
+        # twice the links inside the community
+        internal2 = sum(self._node_links[u].get(cid, 0) for u in members)
+        if internal2 == 0 or internal2 == c * (c - 1):
+            return [{u} for u in sorted(members)]
         key = frozenset(members)
         cached = self._sub_cache.get(key)
         if cached is not None:
@@ -698,7 +725,7 @@ class SurpriseState:
     def verify(self) -> bool:
         """True iff the cached M, ell, S and link tables match a from-scratch recomputation."""
         p = self.partition
-        if sorted(p.assign) and p.Nc != max(p.assign) + 1:
+        if p.assign and p.Nc != max(p.assign) + 1:
             return False
         if any(not c for c in p.comms):
             return False

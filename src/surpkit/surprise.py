@@ -23,7 +23,10 @@ from surpkit.partition import Partition
 _LOG_TRUNC = math.log(1e-18)
 
 _table = np.zeros(2)  # ln 0!, ln 1!
-_table_lock = threading.Lock()
+# _logs[i] is math.log(i) for i >= 1, extended on demand up to a graph's
+# link count n, never to F (at K=2000, F is about 2e6)
+_logs = [-math.inf]
+_table_lock = threading.Lock()  # serializes extension of _table and _logs
 
 
 def ln_factorial(m: int) -> float:
@@ -44,7 +47,17 @@ def ln_factorial(m: int) -> float:
                 ext = np.log(np.arange(t.size, hi, dtype=float))
                 _table = np.concatenate([t, t[-1] + np.cumsum(ext)])
             t = _table
-    return float(t[m])
+    return t.item(m)
+
+
+def _extend_logs(n: int) -> list[float]:
+    """The list of math.log(i), extended so that index n is valid."""
+    global _logs
+    with _table_lock:
+        logs = _logs
+        if n >= len(logs):
+            logs = _logs = logs + [math.log(i) for i in range(len(logs), n + 1)]
+    return logs
 
 
 def ln_choose(m: int, k: int) -> float:
@@ -74,6 +87,12 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
         raise ValueError(f"infeasible: n - ell = {n - ell} exceeds F - M = {F - M}")
 
     jmax = min(M, n)
+    # ln(j) and ln(n-j+1) come from the list, and ln(M-j+1) too when M <= n;
+    # the entries are math.log's own results, so the bits are unchanged
+    logs = _logs
+    if n >= len(logs):
+        logs = _extend_logs(n)
+    logs_M = logs if M <= n else None
     # log of the first term, j = ell
     lt0 = ln_choose(M, ell) + ln_choose(F - M, n - ell) - ln_choose(F, n)
     # stream the remaining terms through successive ratios
@@ -82,9 +101,9 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
     acc = 1.0   # sum of exp(cur - mx)
     for j in range(ell + 1, jmax + 1):
         dlt = (
-            math.log(M - j + 1)
-            + math.log(n - j + 1)
-            - math.log(j)
+            (logs_M[M - j + 1] if logs_M is not None else math.log(M - j + 1))
+            + logs[n - j + 1]
+            - logs[j]
             - math.log(F - M - n + j)
         )
         cur += dlt

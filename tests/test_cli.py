@@ -1,9 +1,13 @@
 import hashlib
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surpkit
 from surpkit.cli import main
 from surpkit.datasets import toy_graph, toy_truth
 from surpkit.graph import save_edge_list
@@ -289,3 +293,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "Nc=4" in proc.stdout
+
+    def test_python_module(self, tmp_path):
+        edges = tmp_path / "toy.edges"
+        save_edge_list(toy_graph(), edges)
+        env = dict(os.environ, PYTHONPATH=str(Path(surpkit.__file__).resolve().parent.parent))
+        cmd = [sys.executable, "-m", "surpkit", "detect", "--graph"]
+        proc = subprocess.run(cmd + [str(edges)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "Nc=4" in proc.stdout
+        proc = subprocess.run(cmd + [str(tmp_path / "missing")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

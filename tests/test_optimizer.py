@@ -1,5 +1,6 @@
 import math
 import random
+from contextlib import contextmanager, nullcontext
 from itertools import combinations
 
 import numpy as np
@@ -117,6 +118,30 @@ def reference_stepper(state):
                         success = True
             ci += 1
     return counts
+
+
+def reference_subcommunities(state, cid):
+    """subcommunities() before the closed form: the greedy recursion on every community.
+
+    Installed in place of the method, it is also what the recursion's own
+    states call, so no level takes the closed form.
+    """
+    state._check_comm(cid)
+    members = state.partition.comms[cid]
+    if len(members) < 2:
+        return [set(members)]
+    sub, back = state.graph.subgraph(members)
+    rec = SurpriseState(sub, rng=state.rng)
+    rec.stepper()
+    return [{back[i] for i in comm} for comm in rec.partition.communities()]
+
+
+@contextmanager
+def recursion_everywhere():
+    """Within the block, every state's subcommunities() is reference_subcommunities."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SurpriseState, "subcommunities", reference_subcommunities)
+        yield
 
 
 def assert_tables_recounted(state):
@@ -418,6 +443,74 @@ class TestSubPlan:
         scan = sub_scan(state, "sub_exchange", 1, 2)
         assert not out.accepted and out.deltaS == max(dS for _, dS in scan)
 
+
+def scattered_community(c, internal, seed, K=200):
+    """A graph with one community of c nodes scattered over 0..K-1 among singletons.
+
+    ``internal`` picks the community's links: "complete", "edgeless" or
+    "minus_edge" (a clique with one edge removed).  A few links lead out of
+    it.  Scattered ids make a set of the members iterate out of ascending
+    order, so the order of the returned blocks is checked too.
+    """
+    r = random.Random(seed)
+    members = sorted(r.sample(range(K), c))
+    edges = [] if internal == "edgeless" else list(combinations(members, 2))
+    if internal == "minus_edge":
+        edges.remove(r.choice(edges))
+    others = sorted(set(range(K)) - set(members))
+    edges += [(r.choice(members), r.choice(others)) for _ in range(5)]
+    assign = [0 if u in members else u + 1 for u in range(K)]
+    return Graph(K, edges), Partition(assign), members
+
+
+class TestClosedFormSubcommunities:
+    """The closed form for complete and edgeless communities against the recursion."""
+
+    @staticmethod
+    def assert_same_blocks(g, p, seed=0):
+        fast = SurpriseState(g, p, rng=seed)
+        got = [fast.subcommunities(cid) for cid in range(fast.partition.Nc)]
+        with recursion_everywhere():
+            ref = SurpriseState(g, p, rng=seed)
+            want = [ref.subcommunities(cid) for cid in range(ref.partition.Nc)]
+        assert got == want  # the same blocks in the same order
+        assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+        return fast
+
+    @pytest.mark.parametrize("c", range(2, 31))
+    def test_complete_and_edgeless_communities(self, c):
+        for internal in ("complete", "edgeless"):
+            g, p, members = scattered_community(c, internal, seed=c)
+            fast = self.assert_same_blocks(g, p)
+            cid = fast.partition.assign[members[0]]
+            assert fast.subcommunities(cid) == [{u} for u in members]
+            assert fast._sub_cache == {}  # answered without recursing
+
+    @pytest.mark.parametrize("c", range(3, 31))
+    def test_clique_minus_an_edge_recurses(self, c):
+        g, p, members = scattered_community(c, "minus_edge", seed=c)
+        fast = self.assert_same_blocks(g, p)
+        assert frozenset(members) in fast._sub_cache
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_partitions(max_k=12, max_nc=4))
+    def test_matches_recursion_on_any_state(self, gp):
+        self.assert_same_blocks(*gp)
+
+    @settings(max_examples=20, deadline=None)
+    @given(graphs_with_partitions(max_k=12, max_nc=4), st.integers(0, 2 ** 16))
+    def test_anneal_matches_recursion(self, gp, seed):
+        # _anneal_propose draws a block by its index in subcommunities()
+        g, p = gp
+        runs = []
+        for oracle in (nullcontext(), recursion_everywhere()):
+            with oracle:
+                state = SurpriseState(g, p, rng=seed)
+                state.stepper()
+                accepted = [state.anneal_step(T) for T in (2.0, 0.5, 0.25)]
+                state.shake()
+                runs.append((accepted, state.partition.assign, state.S, state.rng.bit_generator.state))
+        assert runs[0] == runs[1]
 
 class TestRejectedMoves:
     """stepper() with its rejected-move set against the loop that re-prices every move."""

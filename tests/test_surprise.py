@@ -1,3 +1,4 @@
+import importlib
 import math
 import threading
 from fractions import Fraction
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from surpkit.partition import Partition
 from surpkit.surprise import ln_choose, ln_factorial, partition_stats, surprise
 
+# the module itself: the package re-exports the function under the same name
+surprise_module = importlib.import_module("surpkit.surprise")
+
 
 def surprise_exact(F, M, n, ell):
     """Independent oracle: the cumulative tail in exact rational arithmetic."""
@@ -16,6 +20,55 @@ def surprise_exact(F, M, n, ell):
     for j in range(ell, min(M, n) + 1):
         total += Fraction(math.comb(M, j) * math.comb(F - M, n - j), math.comb(F, n))
     return -math.log(total)
+
+
+def reference_surprise(F, M, n, ell):
+    """The kernel before its log list: every log of the term loop by math.log."""
+    if not (0 <= M <= F):
+        raise ValueError(f"need 0 <= M <= F, got M={M}, F={F}")
+    if not (0 <= n <= F):
+        raise ValueError(f"need 0 <= n <= F, got n={n}, F={F}")
+    if not (0 <= ell <= min(M, n)):
+        raise ValueError(f"need 0 <= ell <= min(M, n), got ell={ell}, M={M}, n={n}")
+    if n - ell > F - M:
+        raise ValueError(f"infeasible: n - ell = {n - ell} exceeds F - M = {F - M}")
+
+    jmax = min(M, n)
+    lt0 = ln_choose(M, ell) + ln_choose(F - M, n - ell) - ln_choose(F, n)
+    cur = 0.0
+    mx = 0.0
+    acc = 1.0
+    for j in range(ell + 1, jmax + 1):
+        dlt = (
+            math.log(M - j + 1)
+            + math.log(n - j + 1)
+            - math.log(j)
+            - math.log(F - M - n + j)
+        )
+        cur += dlt
+        if cur > mx:
+            acc = acc * math.exp(mx - cur) + 1.0
+            mx = cur
+        else:
+            rel = cur - mx
+            if dlt < 0.0 and rel < surprise_module._LOG_TRUNC:
+                break
+            acc += math.exp(rel)
+    s = -(lt0 + mx + math.log(acc))
+    return s if s > 0.0 else 0.0
+
+
+@st.composite
+def kernel_inputs(draw, max_F=5_000, max_n=5_000):
+    """Feasible (F, M, n, ell), weighted towards M > n, ell = min(M, n), n = 0 and n = F."""
+    F = draw(st.integers(1, max_F))
+    M = draw(st.integers(0, F))
+    n = draw(st.sampled_from([0, F, min(M + 1, F), max(M - 1, 0)]) | st.integers(0, F))
+    n = min(n, max_n)
+    lo = max(0, n - (F - M))
+    hi = min(M, n)
+    ell = draw(st.sampled_from([lo, hi]) | st.integers(lo, hi))
+    return F, M, n, ell
 
 
 @st.composite
@@ -44,6 +97,12 @@ class TestLnFactorial:
     @given(st.integers(0, 400))
     def test_against_exact_integer_factorial(self, m):
         assert ln_factorial(m) == pytest.approx(math.log(math.factorial(m)) if m > 1 else 0.0, rel=1e-12, abs=1e-12)
+
+    @given(st.integers(0, 3_000))
+    def test_python_float_from_the_table(self, m):
+        value = ln_factorial(m)
+        assert type(value) is float
+        assert value.hex() == float(surprise_module._table[m]).hex()
 
     def test_concurrent_extension(self):
         results = {}
@@ -136,6 +195,55 @@ class TestSurprise:
         # surprise values in the thousands must come back finite
         s = surprise(499_500, 3_000, 3_200, 3_000)
         assert math.isfinite(s) and s > 5_000.0
+
+
+class TestKernelBits:
+    """surprise() against the kernel it replaced, kept as reference_surprise."""
+
+    @settings(max_examples=1_500, deadline=None)
+    @given(kernel_inputs())
+    def test_bit_identical(self, args):
+        assert surprise(*args).hex() == reference_surprise(*args).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs(max_F=2_000_000, max_n=50_000))
+    def test_bit_identical_at_paper_scale(self, args):
+        assert surprise(*args).hex() == reference_surprise(*args).hex()
+
+    @pytest.mark.parametrize(
+        "F,M,n,ell",
+        [(10, 11, 5, 0), (10, -1, 5, 0), (10, 5, 11, 0), (10, 5, -1, 0), (10, 5, 5, 6),
+         (10, 8, 5, 1), (5, 3, 2, -1), (10, 3, 5, 4)],
+    )
+    def test_same_errors(self, F, M, n, ell):
+        with pytest.raises(ValueError) as got:
+            surprise(F, M, n, ell)
+        with pytest.raises(ValueError) as want:
+            reference_surprise(F, M, n, ell)
+        assert str(got.value) == str(want.value)
+
+    def test_log_list_sized_by_n_not_F(self, monkeypatch):
+        monkeypatch.setattr(surprise_module, "_logs", [-math.inf])
+        args = (1_999_000, 1_000_000, 40_000, 39_000)
+        assert surprise(*args).hex() == reference_surprise(*args).hex()
+        assert len(surprise_module._logs) == 40_001
+
+    def test_concurrent_extension(self):
+        F, M = 2_000_000, 700_000
+        cases = [(F, M, 60_000 + 911 * i, 30_000) for i in range(8)]
+        results = {}
+
+        def worker(args):
+            results[args] = surprise(*args)
+
+        threads = [threading.Thread(target=worker, args=(args,)) for args in cases]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for args in cases:
+            assert results[args].hex() == reference_surprise(*args).hex()
 
 
 class TestPartitionStats:
