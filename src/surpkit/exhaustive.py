@@ -36,13 +36,11 @@ def set_partitions(K: int) -> Iterator[list[int]]:
     yield from rec(1, 0)
 
 
-def best_partitions(
-    graph: Graph, quality: Callable[[Graph, Partition], float], tol: float = 1e-9
+def _best(
+    graph: Graph, value: Callable[[list[int]], float], tol: float
 ) -> tuple[float, list[Partition]]:
-    """Exhaustive maximization of an arbitrary quality function.
-
-    Returns the maximum value and every partition within ``tol`` of it.
-    """
+    """The maximum of ``value`` over every restricted growth string, and
+    the partitions within ``tol`` of it."""
     if graph.K > MAX_EXHAUSTIVE_K:
         raise ValueError(
             f"exhaustive enumeration refused for K={graph.K} > {MAX_EXHAUSTIVE_K}"
@@ -50,14 +48,23 @@ def best_partitions(
     best = -float("inf")
     argmax: list[Partition] = []
     for assign in set_partitions(graph.K):
-        p = Partition(assign)
-        value = quality(graph, p)
-        if value > best + tol:
-            best = value
-            argmax = [p]
-        elif value >= best - tol:
-            argmax.append(p)
+        v = value(assign)
+        if v > best + tol:
+            best = v
+            argmax = [Partition(assign)]
+        elif v >= best - tol:
+            argmax.append(Partition(assign))
     return best, argmax
+
+
+def best_partitions(
+    graph: Graph, quality: Callable[[Graph, Partition], float], tol: float = 1e-9
+) -> tuple[float, list[Partition]]:
+    """Exhaustive maximization of an arbitrary quality function.
+
+    Returns the maximum value and every partition within ``tol`` of it.
+    """
+    return _best(graph, lambda assign: quality(graph, Partition(assign)), tol)
 
 
 def best_surprise_partitions(graph: Graph, tol: float = 1e-9) -> tuple[float, list[Partition]]:
@@ -67,28 +74,18 @@ def best_surprise_partitions(graph: Graph, tol: float = 1e-9) -> tuple[float, li
     through (M, ell); caching collapses the 678,570 evaluations at K=11 to
     a few hundred distinct ones.
     """
-    if graph.K > MAX_EXHAUSTIVE_K:
-        raise ValueError(
-            f"exhaustive enumeration refused for K={graph.K} > {MAX_EXHAUSTIVE_K}"
-        )
     cache: dict[tuple[int, int], float] = {}
     edges = list(graph.edges)
-    best = -float("inf")
-    argmax: list[Partition] = []
-    for assign in set_partitions(graph.K):
+
+    def value(assign: list[int]) -> float:
         counts: dict[int, int] = {}
         for cid in assign:
             counts[cid] = counts.get(cid, 0) + 1
         M = sum(c * (c - 1) // 2 for c in counts.values())
         ell = sum(1 for u, v in edges if assign[u] == assign[v])
-        key = (M, ell)
-        value = cache.get(key)
-        if value is None:
-            value = surprise(graph.F, M, graph.n, ell)
-            cache[key] = value
-        if value > best + tol:
-            best = value
-            argmax = [Partition(assign)]
-        elif value >= best - tol:
-            argmax.append(Partition(assign))
-    return best, argmax
+        S = cache.get((M, ell))
+        if S is None:
+            S = cache[M, ell] = surprise(graph.F, M, graph.n, ell)
+        return S
+
+    return _best(graph, value, tol)

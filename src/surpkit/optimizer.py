@@ -8,9 +8,17 @@ subgraph induced by one community).  A move is accepted in greedy mode
 only when it strictly increases the surprise; the main loop applies the
 moves systematically to exhaustion, so it terminates at a local maximum.
 
+All five moves are one operation: move a node set out of its community
+src into a community dst, or into a new one.  _delta(nodes, src, dst)
+prices it as the change (dM, dell) of the intracommunity pair and link
+counts; when b nodes leave a community of c nodes for one of t nodes
+(t = 0 for a new one), dM = b*(t + b - c).  _move() applies it.  A merge
+moves the whole of cB into cA, an exchange or extraction moves one node,
+and the sub-community moves move one block.
+
 Link counts are kept incrementally: every node's links into each
 community and every pair of communities' cross links, updated by each
-applied move, so the merge, exchange and extract deltas are lookups.
+applied move, so the deltas of merges and single-node moves are lookups.
 
 The greedy loop does not repeat a merge or an exchange it has seen
 rejected since the last applied move.  This is exact: a merge of cA and
@@ -32,7 +40,7 @@ unchanged (argument in subcommunities()).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,18 +62,16 @@ class MoveOutcome:
     kind: str
 
 
-def _pairs(c: int) -> int:
-    return c * (c - 1) // 2
-
-
 @dataclass(frozen=True)
 class _SubBlock:
     """One proper sub-community of a community, priced against the current state.
 
-    ``dM`` and ``dell`` are the changes from taking the block out of its
-    community; ``links`` counts the block's links into every other
-    community it touches; ``S_extract`` is the surprise after moving the
-    block into a fresh community of its own.
+    ``dM`` and ``dell`` are _delta() of moving the block into a fresh
+    community of its own, and ``S_extract`` the surprise after that move;
+    ``links`` counts the block's links into every other community it
+    touches.  Moving the block into a community of t nodes instead adds
+    t*b to dM (b the block's size) and its links into that community to
+    dell.
     """
 
     nodes: set[int]
@@ -138,15 +144,6 @@ class SurpriseState:
                     comm_links[cu][cn] = comm_links[cu].get(cn, 0) + 1
         return node_links, comm_links
 
-    def _links_to(self, node: int, cid: int) -> int:
-        return self._node_links[node].get(cid, 0)
-
-    def _cross_links(self, cA: int, cB: int) -> int:
-        return self._comm_links[cA].get(cB, 0)
-
-    def _set_links(self, nodes: set[int], target: set[int]) -> int:
-        return sum(1 for u in nodes for nb in self.graph.adj[u] if nb in target)
-
     def _remove_comm(self, cid: int) -> None:
         """Drop an emptied community slot, keeping ids dense (swap with last)."""
         p = self.partition
@@ -195,7 +192,54 @@ class SurpriseState:
         p.comms[dst].add(node)
         p.assign[node] = dst
 
-    # ----- raw appliers (no acceptance test) -----------------------------
+    # ----- the one move: price it, apply it ------------------------------
+
+    def _delta(self, nodes: Collection[int], src: int, dst: int | None) -> tuple[int, int]:
+        """(dM, dell) of moving ``nodes`` (a non-empty subset of src) into dst.
+
+        ``nodes`` is a set when it holds more than one node but not the
+        whole of src.  ``dst`` None means a new community.  When b nodes
+        leave a community of c for one of t (t = 0 for a new one), the
+        intracommunity pairs change by C(c-b, 2) + C(t+b, 2) - C(c, 2) -
+        C(t, 2) = b*(t + b - c).
+        The links change by the nodes' links into dst, minus their links
+        into src, plus twice the edges inside the moved set (counted among
+        the links into src, but they stay intracommunity).  A whole
+        community (a merge) gains exactly its cross links with dst.  No
+        table holds the key None, so the links into a new community read 0.
+        """
+        comms = self.partition.comms
+        b = len(nodes)
+        c = len(comms[src])
+        t = 0 if dst is None else len(comms[dst])
+        dM = b * (t + b - c)
+        if b == c:
+            return dM, self._comm_links[src].get(dst, 0)
+        node_links = self._node_links
+        if b == 1:
+            (u,) = nodes
+            links = node_links[u]
+            return dM, links.get(dst, 0) - links.get(src, 0)
+        adj = self.graph.adj
+        dell = 0
+        for u in nodes:
+            links = node_links[u]
+            dell += links.get(dst, 0) - links.get(src, 0) + len(adj[u] & nodes)
+        return dM, dell
+
+    def _move(self, nodes: Collection[int], src: int, dst: int | None, dM: int, dell: int, S_new: float) -> None:
+        """Apply a move priced by _delta(nodes, src, dst), with no acceptance test."""
+        p = self.partition
+        if dst is None:
+            p.comms.append(set())
+            self._comm_links.append({})
+            dst = p.Nc - 1
+        # a copy: nodes may be the community set itself (a merge)
+        for node in list(nodes):
+            self._relocate(node, src, dst)
+        if not p.comms[src]:
+            self._remove_comm(src)
+        self._commit(dM, dell, S_new)
 
     def _commit(self, dM: int, dell: int, S_new: float) -> None:
         self.M += dM
@@ -205,68 +249,15 @@ class SurpriseState:
         self._plans.clear()
         self._rejected.clear()
 
-    def _new_comm(self) -> int:
-        self.partition.comms.append(set())
-        self._comm_links.append({})
-        return self.partition.Nc - 1
-
-    def _apply_merge(self, cA: int, cB: int, dM: int, dell: int, S_new: float) -> None:
-        for node in list(self.partition.comms[cB]):
-            self._relocate(node, cB, cA)
-        self._remove_comm(cB)
-        self._commit(dM, dell, S_new)
-
-    def _apply_move_node(self, node: int, cTo: int, dM: int, dell: int, S_new: float) -> None:
-        self._relocate(node, self.partition.assign[node], cTo)
-        self._commit(dM, dell, S_new)
-
-    def _apply_extract(self, node: int, dM: int, dell: int, S_new: float) -> None:
-        self._relocate(node, self.partition.assign[node], self._new_comm())
-        self._commit(dM, dell, S_new)
-
-    def _apply_move_set(self, nodes: set[int], cTo: int | None, dM: int, dell: int, S_new: float) -> None:
-        """Relocate a node set into cTo, or into a fresh community if cTo is None."""
-        p = self.partition
-        src = p.assign[next(iter(nodes))]
-        if cTo is None:
-            cTo = self._new_comm()
-        for node in nodes:
-            self._relocate(node, src, cTo)
-        if not p.comms[src]:
-            self._remove_comm(src)
-        self._commit(dM, dell, S_new)
-
-    # ----- delta computations --------------------------------------------
-
-    def _merge_delta(self, cA: int, cB: int) -> tuple[int, int]:
-        sA = len(self.partition.comms[cA])
-        sB = len(self.partition.comms[cB])
-        return sA * sB, self._cross_links(cA, cB)
-
-    def _move_node_delta(self, node: int, cTo: int) -> tuple[int, int]:
-        src = self.partition.assign[node]
-        dM = len(self.partition.comms[cTo]) - (len(self.partition.comms[src]) - 1)
-        dell = self._links_to(node, cTo) - self._links_to(node, src)
-        return dM, dell
-
-    def _extract_delta(self, node: int) -> tuple[int, int]:
-        src = self.partition.assign[node]
-        return -(len(self.partition.comms[src]) - 1), -self._links_to(node, src)
-
-    def _move_set_delta(self, nodes: set[int], cTo: int | None) -> tuple[int, int]:
-        src = self.partition.assign[next(iter(nodes))]
-        c = len(self.partition.comms[src])
-        b = len(nodes)
-        rest = self.partition.comms[src] - nodes
-        dM = _pairs(c - b) - _pairs(c)
-        dell = -self._set_links(nodes, rest)
-        if cTo is not None:
-            t = len(self.partition.comms[cTo])
-            dM += _pairs(t + b) - _pairs(t)
-            dell += self._set_links(nodes, self.partition.comms[cTo])
-        else:
-            dM += _pairs(b)
-        return dM, dell
+    def _greedy(self, kind: str, nodes: Collection[int], src: int, dst: int | None) -> MoveOutcome:
+        """Apply the move when it raises the surprise by more than TIE_EPS."""
+        dM, dell = self._delta(nodes, src, dst)
+        S_new = self._S_at(self.M + dM, self.ell + dell)
+        dS = S_new - self.S
+        if dS > TIE_EPS:
+            self._move(nodes, src, dst, dM, dell, S_new)
+            return MoveOutcome(True, dS, kind)
+        return MoveOutcome(False, dS, kind)
 
     # ----- the five moves -------------------------------------------------
 
@@ -276,13 +267,7 @@ class SurpriseState:
         self._check_comm(cB)
         if cA == cB:
             raise ValueError("cannot merge a community with itself")
-        dM, dell = self._merge_delta(cA, cB)
-        S_new = self._S_at(self.M + dM, self.ell + dell)
-        dS = S_new - self.S
-        if dS > TIE_EPS:
-            self._apply_merge(cA, cB, dM, dell, S_new)
-            return MoveOutcome(True, dS, "merge")
-        return MoveOutcome(False, dS, "merge")
+        return self._greedy("merge", self.partition.comms[cB], cB, cA)
 
     def exchange(self, node: int, cTo: int) -> MoveOutcome:
         """Move one node into cTo when that raises the surprise."""
@@ -293,13 +278,7 @@ class SurpriseState:
             raise ValueError("cannot exchange out of a singleton community")
         if cTo == src:
             return MoveOutcome(False, 0.0, "exchange")
-        dM, dell = self._move_node_delta(node, cTo)
-        S_new = self._S_at(self.M + dM, self.ell + dell)
-        dS = S_new - self.S
-        if dS > TIE_EPS:
-            self._apply_move_node(node, cTo, dM, dell, S_new)
-            return MoveOutcome(True, dS, "exchange")
-        return MoveOutcome(False, dS, "exchange")
+        return self._greedy("exchange", (node,), src, cTo)
 
     def extract(self, node: int) -> MoveOutcome:
         """Split one node into a new singleton community when that raises the surprise."""
@@ -307,13 +286,7 @@ class SurpriseState:
         src = self.partition.assign[node]
         if len(self.partition.comms[src]) <= 1:
             raise ValueError("cannot extract from a singleton community")
-        dM, dell = self._extract_delta(node)
-        S_new = self._S_at(self.M + dM, self.ell + dell)
-        dS = S_new - self.S
-        if dS > TIE_EPS:
-            self._apply_extract(node, dM, dell, S_new)
-            return MoveOutcome(True, dS, "extract")
-        return MoveOutcome(False, dS, "extract")
+        return self._greedy("extract", (node,), src, None)
 
     def subcommunities(self, cid: int) -> list[set[int]]:
         """Sub-communities of one community, via greedy recursion on its subgraph.
@@ -365,26 +338,19 @@ class SurpriseState:
         plan = self._plans.get(cid)
         if plan is not None:
             return plan
-        p = self.partition
-        adj = self.graph.adj
-        c = len(p.comms[cid])
+        node_links = self._node_links
+        c = len(self.partition.comms[cid])
         plan = []
         for sub in sorted(self.subcommunities(cid), key=min):
-            b = len(sub)
-            if b == c:
+            if len(sub) == c:
                 continue  # the whole community: a merge, not a split
+            dM, dell = self._delta(sub, cid, None)
             links: dict[int, int] = {}
-            to_rest = 0
             for u in sub:
-                for nb in adj[u]:
-                    cj = p.assign[nb]
-                    if cj != cid:
-                        links[cj] = links.get(cj, 0) + 1
-                    elif nb not in sub:
-                        to_rest += 1
-            dM = _pairs(c - b) - _pairs(c)
-            S_extract = self._S_at(self.M + dM + _pairs(b), self.ell - to_rest)
-            plan.append(_SubBlock(sub, dM, -to_rest, links, S_extract))
+                for cj, k in node_links[u].items():
+                    links[cj] = links.get(cj, 0) + k
+            links.pop(cid, None)
+            plan.append(_SubBlock(sub, dM, dell, links, self._S_at(self.M + dM, self.ell + dell)))
         self._plans[cid] = plan
         return plan
 
@@ -397,7 +363,7 @@ class SurpriseState:
         for blk in self._plan(cid):
             dS = blk.S_extract - self.S
             if dS > TIE_EPS:
-                self._apply_move_set(blk.nodes, None, blk.dM + _pairs(len(blk.nodes)), blk.dell, blk.S_extract)
+                self._move(blk.nodes, cid, None, blk.dM, blk.dell, blk.S_extract)
                 return MoveOutcome(True, dS, "sub_extract")
             best_dS = max(best_dS, dS)
         return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_extract")
@@ -411,15 +377,15 @@ class SurpriseState:
         raise S by more than TIE_EPS; it could not have been applied.
         Moving B (b nodes) into a community T (t nodes) that it has no links
         to adds no intracommunity link, so ell changes exactly as when B is
-        extracted, while M grows by _pairs(t + b) - _pairs(t) instead of
-        _pairs(b), that is by t*b >= 1 more.  At fixed ell the
-        hypergeometric upper tail P(X >= ell) does not decrease as M grows,
-        so S = -ln P does not increase: the move into T is no better than
-        extraction.  The first applied block is therefore the one a full
-        scan in the same order applies.  That holds in exact arithmetic;
-        in floating point the kernel can put a move that ties extraction
-        a few ulps above it, so a skipped block could only ever differ
-        where both deltaS lie within the kernel's rounding of TIE_EPS.
+        extracted, while M grows by t*b >= 1 more (see _SubBlock).  At
+        fixed ell the hypergeometric upper tail P(X >= ell) does not
+        decrease as M grows, so S = -ln P does not increase: the move into
+        T is no better than extraction.  The first applied block is
+        therefore the one a full scan in the same order applies.  That
+        holds in exact arithmetic; in floating point the kernel can put a
+        move that ties extraction a few ulps above it, so a skipped block
+        could only ever differ where both deltaS lie within the kernel's
+        rounding of TIE_EPS.
 
         On rejection, deltaS is an upper bound on the best block's deltaS
         (up to that rounding), not always the exact value: a skipped block
@@ -439,13 +405,12 @@ class SurpriseState:
             if cTo not in blk.links and dS <= TIE_EPS:
                 best_dS = max(best_dS, dS)  # extraction bounds the move into cTo
                 continue
-            b = len(blk.nodes)
-            dM = blk.dM + _pairs(t + b) - _pairs(t)
+            dM = blk.dM + t * len(blk.nodes)
             dell = blk.dell + blk.links.get(cTo, 0)
             S_new = self._S_at(self.M + dM, self.ell + dell)
             dS = S_new - self.S
             if dS > TIE_EPS:
-                self._apply_move_set(blk.nodes, cTo, dM, dell, S_new)
+                self._move(blk.nodes, cid, cTo, dM, dell, S_new)
                 return MoveOutcome(True, dS, "sub_exchange")
             best_dS = max(best_dS, dS)
         return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_exchange")
@@ -571,62 +536,42 @@ class SurpriseState:
         return self.rng.random() < math.exp(dS / T)
 
     def _anneal_propose(self, T: float) -> bool:
+        """Draw one random legal move and apply it by the Metropolis rule."""
         p = self.partition
-        kind = MOVE_KINDS[self.rng.integers(len(MOVE_KINDS))]
+        rng = self.rng
+        kind = MOVE_KINDS[rng.integers(len(MOVE_KINDS))]
         if kind == "merge":
             if p.Nc < 2:
                 return False
-            cA, cB = self.rng.choice(p.Nc, size=2, replace=False)
-            dM, dell = self._merge_delta(int(cA), int(cB))
-            S_new = self._S_at(self.M + dM, self.ell + dell)
-            if self._metropolis(S_new - self.S, T):
-                self._apply_merge(int(cA), int(cB), dM, dell, S_new)
-                return True
-            return False
-        if kind == "exchange":
-            node = int(self.rng.integers(self.graph.K))
-            src = p.assign[node]
-            if len(p.comms[src]) <= 1 or p.Nc < 2:
-                return False
-            cTo = int(self.rng.integers(p.Nc - 1))
-            if cTo >= src:
-                cTo += 1
-            dM, dell = self._move_node_delta(node, cTo)
-            S_new = self._S_at(self.M + dM, self.ell + dell)
-            if self._metropolis(S_new - self.S, T):
-                self._apply_move_node(node, cTo, dM, dell, S_new)
-                return True
-            return False
-        if kind == "extract":
-            node = int(self.rng.integers(self.graph.K))
-            if len(p.comms[p.assign[node]]) <= 1:
-                return False
-            dM, dell = self._extract_delta(node)
-            S_new = self._S_at(self.M + dM, self.ell + dell)
-            if self._metropolis(S_new - self.S, T):
-                self._apply_extract(node, dM, dell, S_new)
-                return True
-            return False
-        # sub-community moves
-        cid = int(self.rng.integers(p.Nc))
-        if len(p.comms[cid]) < 2:
-            return False
-        subs = [s for s in self.subcommunities(cid) if len(s) < len(p.comms[cid])]
-        if not subs:
-            return False
-        sub = subs[self.rng.integers(len(subs))]
-        if kind == "sub_extract":
-            cTo = None
+            cA, cB = (int(c) for c in rng.choice(p.Nc, size=2, replace=False))
+            nodes, src, dst = p.comms[cB], cB, cA
         else:
-            if p.Nc < 2:
-                return False
-            cTo = int(self.rng.integers(p.Nc - 1))
-            if cTo >= cid:
-                cTo += 1
-        dM, dell = self._move_set_delta(sub, cTo)
+            if kind in ("exchange", "extract"):
+                node = int(rng.integers(self.graph.K))
+                src = p.assign[node]
+                if len(p.comms[src]) <= 1:
+                    return False
+                nodes = (node,)
+            else:
+                src = int(rng.integers(p.Nc))
+                c = len(p.comms[src])
+                if c < 2:
+                    return False
+                subs = [s for s in self.subcommunities(src) if len(s) < c]
+                if not subs:
+                    return False
+                nodes = subs[rng.integers(len(subs))]
+            dst = None
+            if kind in ("exchange", "sub_exchange"):
+                if p.Nc < 2:
+                    return False
+                dst = int(rng.integers(p.Nc - 1))
+                if dst >= src:
+                    dst += 1
+        dM, dell = self._delta(nodes, src, dst)
         S_new = self._S_at(self.M + dM, self.ell + dell)
         if self._metropolis(S_new - self.S, T):
-            self._apply_move_set(sub, cTo, dM, dell, S_new)
+            self._move(nodes, src, dst, dM, dell, S_new)
             return True
         return False
 
@@ -639,18 +584,22 @@ class SurpriseState:
         exchanges and sub-community exchanges performed.
         """
         p = self.partition
+
+        def tie(nodes: Collection[int], src: int, dst: int) -> bool:
+            """Apply the move, keeping S as it is, if it changes S by less than TIE_EPS."""
+            dM, dell = self._delta(nodes, src, dst)
+            if abs(self._S_at(self.M + dM, self.ell + dell) - self.S) < TIE_EPS:
+                self._move(nodes, src, dst, dM, dell, self.S)
+                return True
+            return False
+
         exchanges = 0
         for node in range(self.graph.K):
             src = p.assign[node]
             if len(p.comms[src]) <= 1:
                 continue
             for cTo in range(p.Nc):
-                if cTo == src:
-                    continue
-                dM, dell = self._move_node_delta(node, cTo)
-                S_new = self._S_at(self.M + dM, self.ell + dell)
-                if abs(S_new - self.S) < TIE_EPS:
-                    self._apply_move_node(node, cTo, dM, dell, self.S)
+                if cTo != src and tie((node,), src, cTo):
                     exchanges += 1
                     break
         sub_exchanges = 0
@@ -668,10 +617,7 @@ class SurpriseState:
                     # them here would undo exchanges made moments ago
                     if len(sub) < 2 or len(sub) == len(p.comms[ci]):
                         continue
-                    dM, dell = self._move_set_delta(sub, cTo)
-                    S_new = self._S_at(self.M + dM, self.ell + dell)
-                    if abs(S_new - self.S) < TIE_EPS:
-                        self._apply_move_set(sub, cTo, dM, dell, self.S)
+                    if tie(sub, ci, cTo):
                         sub_exchanges += 1
                         moved = True
                         break
@@ -687,39 +633,33 @@ class SurpriseState:
         described by the frozen node set involved.
         """
         p = self.partition
+
+        def dS(nodes: Collection[int], src: int, dst: int | None) -> float:
+            dM, dell = self._delta(nodes, src, dst)
+            return self._S_at(self.M + dM, self.ell + dell) - self.S
+
         out: list[tuple[tuple, float]] = []
         for cA in range(p.Nc):
             for cB in range(cA + 1, p.Nc):
-                dM, dell = self._merge_delta(cA, cB)
-                out.append((("merge", cA, cB), self._S_at(self.M + dM, self.ell + dell) - self.S))
+                out.append((("merge", cA, cB), dS(p.comms[cB], cB, cA)))
         for node in range(self.graph.K):
             src = p.assign[node]
             if len(p.comms[src]) <= 1:
                 continue
             for cTo in range(p.Nc):
-                if cTo == src:
-                    continue
-                dM, dell = self._move_node_delta(node, cTo)
-                out.append((("exchange", node, cTo), self._S_at(self.M + dM, self.ell + dell) - self.S))
-            dM, dell = self._extract_delta(node)
-            out.append((("extract", node), self._S_at(self.M + dM, self.ell + dell) - self.S))
+                if cTo != src:
+                    out.append((("exchange", node, cTo), dS((node,), src, cTo)))
+            out.append((("extract", node), dS((node,), src, None)))
         for cid in range(p.Nc):
             if len(p.comms[cid]) < 2:
                 continue
             for sub in sorted(self.subcommunities(cid), key=min):
                 if len(sub) == len(p.comms[cid]):
                     continue
-                dM, dell = self._move_set_delta(sub, None)
-                out.append(
-                    (("sub_extract", cid, frozenset(sub)), self._S_at(self.M + dM, self.ell + dell) - self.S)
-                )
+                out.append((("sub_extract", cid, frozenset(sub)), dS(sub, cid, None)))
                 for cTo in range(p.Nc):
-                    if cTo == cid:
-                        continue
-                    dM, dell = self._move_set_delta(sub, cTo)
-                    out.append(
-                        (("sub_exchange", cid, frozenset(sub), cTo), self._S_at(self.M + dM, self.ell + dell) - self.S)
-                    )
+                    if cTo != cid:
+                        out.append((("sub_exchange", cid, frozenset(sub), cTo), dS(sub, cid, cTo)))
         return out
 
     def verify(self) -> bool:

@@ -15,8 +15,8 @@ class Partition:
     """A division of nodes ``0..K-1`` into communities.
 
     Community ids are kept dense (``0..Nc-1``).  The structure is mutable:
-    the optimizer edits ``assign``, ``comms`` and the cached pair count
-    ``M`` in place, keeping them consistent.
+    the optimizer edits ``assign`` and ``comms`` in place, keeping them
+    consistent; ``M`` is recomputed from ``comms`` on every access.
     """
 
     __slots__ = ("assign", "comms")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from surpkit.benchmarks import build_benchmark
 from surpkit.datasets import disconnected_cliques, toy_graph
-from surpkit.exhaustive import best_surprise_partitions
+from surpkit.exhaustive import best_partitions, best_surprise_partitions
 from surpkit.graph import Graph
 from surpkit.optimizer import MOVE_KINDS, TIE_EPS, SurpriseState, sample_partitions
 from surpkit.partition import Partition
@@ -120,6 +120,16 @@ def reference_stepper(state):
     return counts
 
 
+def recursion_blocks(graph, members, rng):
+    """The sub-communities the greedy recursion finds in a node set, in its community order."""
+    if len(members) < 2:
+        return [set(members)]
+    sub, back = graph.subgraph(members)
+    rec = SurpriseState(sub, rng=rng)
+    rec.stepper()
+    return [{back[i] for i in comm} for comm in rec.partition.communities()]
+
+
 def reference_subcommunities(state, cid):
     """subcommunities() before the closed form: the greedy recursion on every community.
 
@@ -127,13 +137,86 @@ def reference_subcommunities(state, cid):
     states call, so no level takes the closed form.
     """
     state._check_comm(cid)
-    members = state.partition.comms[cid]
-    if len(members) < 2:
-        return [set(members)]
-    sub, back = state.graph.subgraph(members)
-    rec = SurpriseState(sub, rng=state.rng)
-    rec.stepper()
-    return [{back[i] for i in comm} for comm in rec.partition.communities()]
+    return recursion_blocks(state.graph, state.partition.comms[cid], state.rng)
+
+
+def reference_anneal_step(graph, p, rng, T):
+    """anneal_step() drawing its proposals in the same order, each priced from scratch.
+
+    Edits the Partition p in place and numbers communities as SurpriseState
+    does: a merge moves cB into cA, a new community takes the next id, and
+    an emptied community's id goes to the last community.  Every proposal
+    is priced by partition_stats on a relabeled copy of the assignment, and
+    the sub-communities come from running the greedy recursion afresh (no
+    memo, and no closed form at the top level).  Returns the number of
+    applied moves.
+    """
+    accepted = 0
+    for _ in range(graph.K):
+        kind = MOVE_KINDS[rng.integers(len(MOVE_KINDS))]
+        if kind == "merge":
+            if p.Nc < 2:
+                continue
+            cA, cB = (int(c) for c in rng.choice(p.Nc, size=2, replace=False))
+            nodes, src, dst = set(p.comms[cB]), cB, cA
+        elif kind in ("exchange", "extract"):
+            node = int(rng.integers(graph.K))
+            src = p.assign[node]
+            if len(p.comms[src]) <= 1:
+                continue
+            nodes, dst = {node}, None
+            if kind == "exchange":
+                if p.Nc < 2:
+                    continue
+                dst = int(rng.integers(p.Nc - 1))
+                dst += dst >= src
+        else:
+            src = int(rng.integers(p.Nc))
+            c = len(p.comms[src])
+            if c < 2:
+                continue
+            subs = [s for s in recursion_blocks(graph, p.comms[src], rng) if len(s) < c]
+            if not subs:
+                continue
+            nodes, dst = subs[rng.integers(len(subs))], None
+            if kind == "sub_exchange":
+                if p.Nc < 2:
+                    continue
+                dst = int(rng.integers(p.Nc - 1))
+                dst += dst >= src
+        to = p.Nc if dst is None else dst
+        moved = [to if u in nodes else cid for u, cid in enumerate(p.assign)]
+        dS = partition_stats(graph, Partition(moved))[2] - partition_stats(graph, p)[2]
+        if not (dS > 0.0 or rng.random() < math.exp(dS / T)):
+            continue
+        accepted += 1
+        if dst is None:
+            p.comms.append(set())
+            dst = p.Nc - 1
+        for u in nodes:
+            p.comms[src].remove(u)
+            p.comms[dst].add(u)
+            p.assign[u] = dst
+        if not p.comms[src]:
+            last = p.comms.pop()
+            if src < p.Nc:
+                p.comms[src] = last
+                for u in last:
+                    p.assign[u] = src
+    return accepted
+
+
+def assert_anneal_matches_reference(g, p, seed, temperatures):
+    """After every sweep: the same assignment, S, accept count and rng state as the reference."""
+    state = SurpriseState(g, p, rng=seed)
+    ref, ref_rng = state.partition.copy(), np.random.default_rng(seed)
+    assert ref.assign == state.partition.assign
+    for T in temperatures:
+        assert state.anneal_step(T) == reference_anneal_step(g, ref, ref_rng, T)
+        assert state.partition.assign == ref.assign
+        assert state.S == partition_stats(g, ref)[2]
+        assert state.rng.bit_generator.state == ref_rng.bit_generator.state
+    assert state.verify()
 
 
 @contextmanager
@@ -150,21 +233,20 @@ def assert_tables_recounted(state):
 
 def apply_move(state, move):
     """Apply one move as check_deltas() describes it, with no acceptance test."""
-    kind = move[0]
+    kind, p = move[0], state.partition
     if kind == "merge":
-        state._apply_merge(move[1], move[2], *state._merge_delta(move[1], move[2]), 0.0)
-    elif kind == "exchange":
-        state._apply_move_node(move[1], move[2], *state._move_node_delta(move[1], move[2]), 0.0)
-    elif kind == "extract":
-        state._apply_extract(move[1], *state._extract_delta(move[1]), 0.0)
+        nodes, src, dst = p.comms[move[2]], move[2], move[1]
+    elif kind in ("exchange", "extract"):
+        nodes, src = (move[1],), p.assign[move[1]]
+        dst = move[2] if kind == "exchange" else None
     else:
-        nodes = set(move[2])
-        cTo = None if kind == "sub_extract" else move[3]
-        state._apply_move_set(nodes, cTo, *state._move_set_delta(nodes, cTo), 0.0)
+        nodes, src = set(move[2]), move[1]
+        dst = move[3] if kind == "sub_exchange" else None
+    state._move(nodes, src, dst, *state._delta(nodes, src, dst), 0.0)
 
 
 def apply_every_move(g, p):
-    """Apply each legal move to a fresh state and recount the link tables after it.
+    """Apply each legal move to a fresh state and recount M, ell and the link tables after it.
 
     Returns the labels of the bookkeeping cases met: a merge that renumbers
     the last community, and a sub-community extraction that appends an id.
@@ -178,6 +260,7 @@ def apply_every_move(g, p):
         state = SurpriseState(g, p)
         apply_move(state, move)
         assert_tables_recounted(state)
+        assert (state.M, state.ell) == partition_stats(g, state.partition)[:2]
     return cases
 
 
@@ -347,6 +430,14 @@ class TestStepper:
         state.stepper()
         assert state.S <= best + 1e-9
         assert state.verify()
+
+    @settings(max_examples=15, deadline=None)
+    @given(random_graphs(min_k=2, max_k=8))
+    def test_generic_enumeration_agrees(self, g):
+        best, argmax = best_surprise_partitions(g)
+        best_generic, argmax_generic = best_partitions(g, lambda g, p: partition_stats(g, p)[2])
+        assert best_generic == best
+        assert {p.canonical() for p in argmax_generic} == {p.canonical() for p in argmax}
 
     def test_greedy_monotone(self, toy):
         state = SurpriseState(toy, rng=0)
@@ -587,6 +678,19 @@ class TestLinkTables:
 
 
 class TestAnneal:
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_with_partitions(), st.integers(0, 2 ** 31))
+    def test_matches_reference_from_any_start(self, gp, seed):
+        assert_anneal_matches_reference(*gp, seed, (2.0, 1.0, 0.5, 0.25))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_on_degraded_benchmark(self, seed):
+        # from the greedy optimum, so the sub-moves split and move real cliques
+        g = degraded_k63(seed)
+        state = SurpriseState(g, rng=seed)
+        state.stepper()
+        assert_anneal_matches_reference(g, state.partition, seed, (0.25, 0.5, 1.0, 2.0))
+
     def test_temperature_domain(self, toy):
         state = SurpriseState(toy, rng=0)
         with pytest.raises(ValueError):
