@@ -8,8 +8,17 @@ accumulating the distance covered.
 
 Everything in a stress evaluation that depends only on D (the cut-off
 mask, the weights w and m2w = -2 (w + w^T)) is built once per ``embed()``
-by ``_weights``, and each descent step is priced by ``_stress``.  The
-kernel returns the same bits as the direct evaluation, which builds the
+by ``_weights``.  The stress kernel ``_stress`` is two parts: ``_chi2``
+returns chi^2 with the arrays (dx, dy, e, resid) it was computed from,
+and ``_gradient`` turns those arrays and m2w into the gradient and its
+norm.  Most descent steps are rejected, and a rejected step needs only
+chi^2, so ``embed()`` prices every trial with ``_chi2`` and runs
+``_gradient`` once at the start and once per accepted step.  This walks
+exactly the descent that pricing every trial with ``_stress`` would: the
+parts run the same operations on the same arrays, a rejected trial's
+gradient would never be read, and no array is kept across steps.
+``_stress`` (and so ``chi_grad``) is the two parts run back to back, and
+returns the same bits as the direct evaluation, which builds the
 (N, N, 2) array of differences r_i - r_j, takes
 coef = -2.0 * (w + w^T) * resid / e and sums coef_ij (r_i - r_j) over
 the middle axis (the tests keep it as the reference, on C-ordered
@@ -83,23 +92,37 @@ def _weights(D: np.ndarray, gamma_exp: float, d_lim: float) -> tuple[np.ndarray,
     return w, -2.0 * (w + w.T)
 
 
-def _stress(
-    coords: np.ndarray, D: np.ndarray, w: np.ndarray, m2w: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    """chi^2, its gradient and the gradient norm, given the weights of ``_weights``."""
+def _chi2(
+    coords: np.ndarray, D: np.ndarray, w: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """chi^2 and the arrays ``_gradient`` reuses: (chi2, dx, dy, e, resid)."""
     x, y = coords[:, 0], coords[:, 1]
     dx = x[None, :] - x[:, None]  # dx[j, i] = x_i - x_j
     dy = y[None, :] - y[:, None]
     e = np.sqrt(dx * dx + dy * dy).T
     resid = D - e
-    chi2 = float((w * resid ** 2).sum())
+    return float((w * resid ** 2).sum()), dx, dy, e, resid
+
+
+def _gradient(
+    dx: np.ndarray, dy: np.ndarray, e: np.ndarray, resid: np.ndarray, m2w: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The gradient of chi^2 and its norm, from the arrays ``_chi2`` returned."""
     # d chi2 / d r_i = sum_j 2 w_ij (d_ij - e_ij) * (-(r_i - r_j)/e_ij)
     with np.errstate(invalid="ignore", divide="ignore"):
         coef = np.where(e > 0.0, m2w * resid / e, 0.0)
-    grad = np.empty((coords.shape[0], 2))
+    grad = np.empty((dx.shape[0], 2))
     grad[:, 0] = (coef.T * dx).sum(axis=0)
     grad[:, 1] = (coef.T * dy).sum(axis=0)
-    return chi2, grad, float(np.sqrt((grad ** 2).sum()))
+    return grad, float(np.sqrt((grad ** 2).sum()))
+
+
+def _stress(
+    coords: np.ndarray, D: np.ndarray, w: np.ndarray, m2w: np.ndarray
+) -> tuple[float, np.ndarray, float]:
+    """chi^2, its gradient and the gradient norm, given the weights of ``_weights``."""
+    chi2, dx, dy, e, resid = _chi2(coords, D, w)
+    return (chi2, *_gradient(dx, dy, e, resid, m2w))
 
 
 def chi_grad(
@@ -149,9 +172,10 @@ def embed(
         if stalled >= config.stall_limit:
             return coords, chi2, gnorm, "stalled"
         trial = coords - lamb * grad
-        t_chi2, t_grad, t_gnorm = _stress(trial, D, w, m2w)
+        t_chi2, dx, dy, e, resid = _chi2(trial, D, w)
         if t_chi2 < chi2:
-            coords, chi2, grad, gnorm = trial, t_chi2, t_grad, t_gnorm
+            coords, chi2 = trial, t_chi2
+            grad, gnorm = _gradient(dx, dy, e, resid, m2w)
             lamb *= 1.0 + config.adj
             stalled = 0
         else:
@@ -194,15 +218,22 @@ def load_distance_matrix(path) -> np.ndarray:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"{path}: empty matrix file")
-    N = int(tokens[0])
+    size = tokens[0]
+    if not size.isdecimal():
+        raise ValueError(f"{path}: size must be a positive integer, got {size!r}")
+    N = int(size)
+    if N == 0:
+        raise ValueError(f"{path}: size {size!r}: distance matrix must not be empty")
     if len(tokens) != 1 + N * N:
         raise ValueError(f"{path}: expected {N * N} entries after the size, got {len(tokens) - 1}")
     return _validate_D(np.array(tokens[1:], dtype=float).reshape(N, N))
 
 
 def save_distance_matrix(D: np.ndarray, path) -> None:
+    """Write D in the format ``load_distance_matrix`` reads, every entry as
+    its shortest round-trip repr, so loading gives back the same bits."""
     D = _validate_D(D)
     with open(path, "w") as fh:
         fh.write(f"{D.shape[0]}\n")
-        for row in D:
-            fh.write(" ".join(f"{x:.12g}" for x in row) + "\n")
+        for row in D.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")

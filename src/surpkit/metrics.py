@@ -25,14 +25,23 @@ def vi(a: Partition, b: Partition, normalized: bool = False) -> float:
     VI = H(a) + H(b) - 2 I(a, b), in nats.  Zero iff the partitions are
     identical up to community relabeling; at most ln K.  With
     ``normalized`` the value is divided by ln K (defined as 0 when K = 1).
+
+    The identical case is read off the joint count table: every community
+    is non-empty, so each row and each column of the table holds at least
+    one nonzero cell.  As many nonzero cells as rows and as columns
+    therefore means exactly one per row and per column, a bijection of
+    communities, which is "identical up to relabeling"; the exact 0.0 is
+    returned then.  Any other pair is summed over the same nonzero cells
+    in the same order (dividing the counts by K moves no zero).
     """
     if a.K != b.K:
         raise ValueError(f"partitions cover {a.K} and {b.K} nodes")
     K = a.K
-    if a.canonical() == b.canonical():
-        return 0.0  # exact zero for relabel-identical partitions
     joint = np.zeros((a.Nc, b.Nc))
     np.add.at(joint, (a.assign, b.assign), 1.0)
+    rows, cols = np.nonzero(joint)
+    if len(rows) == a.Nc == b.Nc:
+        return 0.0  # exact zero for relabel-identical partitions
     joint /= K
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
@@ -43,7 +52,6 @@ def vi(a: Partition, b: Partition, normalized: bool = False) -> float:
 
     # Python floats over the nonzero cells in row-major order: the same
     # operations in the same order as a double loop over numpy scalars
-    rows, cols = np.nonzero(joint)
     pa_l, pb_l = pa.tolist(), pb.tolist()
     mutual = 0.0
     for i, j, pij in zip(rows.tolist(), cols.tolist(), joint[rows, cols].tolist()):

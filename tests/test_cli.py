@@ -282,6 +282,25 @@ class TestLandscape:
         assert message in err
         assert not coords_out.exists()
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            ("-1", "size must be a positive integer, got '-1'"),
+            ("2.5", "size must be a positive integer, got '2.5'"),
+            ("0", "size '0': distance matrix must not be empty"),
+        ],
+        ids=["negative", "fraction", "zero"],
+    )
+    def test_bad_size_token_fails(self, capsys, tmp_path, size, message):
+        dist = tmp_path / "dist.txt"
+        dist.write_text(f"{size}\n0 1\n1 0\n")
+        coords_out = tmp_path / "coords.tsv"
+        code = main(["landscape", "embed", "--dist", str(dist), "--out", str(coords_out)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {dist}: {message}\n"
+        assert not coords_out.exists()
+
 
 class TestEntryPoint:
     def test_console_script(self, tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surpkit import embedding
+from surpkit.benchmarks import build_benchmark, pielouer_nodes
 from surpkit.embedding import (
     EmbeddingConfig,
     chi_grad,
@@ -14,6 +16,8 @@ from surpkit.embedding import (
     peak_walk,
     save_distance_matrix,
 )
+from surpkit.metrics import vi
+from surpkit.optimizer import sample_partitions
 
 
 def planar_distances(N, seed=0):
@@ -69,6 +73,28 @@ def reference_embed(D, config, rng):
         else:
             lamb *= 1.0 - config.adj
             stalled += 1
+
+
+def landscape_matrix(seed, count=30):
+    """Pairwise VI of ``count`` partitions sampled from a K = 80 benchmark:
+    4 cliques, Pielou 0.85, r = 0.1, p = 0.4, q = 0.02."""
+    rng = np.random.default_rng(seed)
+    sizes = pielouer_nodes(4, 0.85, (72, 72), rng=rng)
+    net = build_benchmark(sizes, 0.1, False, rng=rng)
+    net.degrade_p(0.4)
+    net.degrade_q(0.02)
+    parts = sample_partitions(net.graph, count, rng=rng)
+    N = len(parts)
+    D = np.zeros((N, N))
+    for i in range(N):
+        for j in range(i + 1, N):
+            D[i, j] = D[j, i] = vi(parts[i], parts[j])
+    return D
+
+
+@pytest.fixture(scope="module")
+def landscape_matrices():
+    return [landscape_matrix(seed) for seed in (0, 1)]
 
 
 def same_bits(a, b):
@@ -229,6 +255,42 @@ class TestEmbed:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
 
+    @pytest.mark.parametrize("index", range(2))
+    def test_identical_to_reference_loop_at_landscape_scale(self, landscape_matrices, index):
+        D = landscape_matrices[index]
+        assert D.shape == (30, 30)
+        cfg = EmbeddingConfig()
+        got = embed(D, cfg, rng=index)
+        want = reference_embed(D, cfg, index)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("index", range(2))
+    def test_gradient_only_for_accepted_steps(self, monkeypatch, landscape_matrices, index):
+        D = landscape_matrices[index]
+        chi2s, gradients = [], []
+        chi2_part, gradient_part = embedding._chi2, embedding._gradient
+
+        def counted_chi2(*args):
+            out = chi2_part(*args)
+            chi2s.append(out[0])
+            return out
+
+        def counted_gradient(*args):
+            gradients.append(1)
+            return gradient_part(*args)
+
+        monkeypatch.setattr(embedding, "_chi2", counted_chi2)
+        monkeypatch.setattr(embedding, "_gradient", counted_gradient)
+        _, chi2, _, _ = embed(D, EmbeddingConfig(), rng=index)
+        accepted, best = 0, chi2s[0]
+        for t_chi2 in chi2s[1:]:
+            if t_chi2 < best:
+                accepted, best = accepted + 1, t_chi2
+        assert best == chi2
+        assert 0 < accepted < len(chi2s) - 1  # some steps kept, some rejected
+        assert len(gradients) == 1 + accepted
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(d_lim=0.0)
@@ -278,6 +340,17 @@ class TestMatrixIO:
         save_distance_matrix(D, path)
         loaded = load_distance_matrix(path)
         assert np.allclose(loaded, D, atol=1e-10)
+
+    @pytest.mark.parametrize("index", range(2))
+    def test_round_trip_is_bit_exact(self, tmp_path, landscape_matrices, index):
+        D = landscape_matrices[index]
+        path = tmp_path / "dist.txt"
+        save_distance_matrix(D, path)
+        loaded = load_distance_matrix(path)
+        assert np.array_equal(loaded, D)
+        a, b = embed(loaded, rng=3), embed(D, rng=3)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1:] == b[1:]
 
     def test_bad_count(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -77,6 +77,27 @@ def random_pairs(draw, max_k=60):
     return permuted_ids(draw, a), permuted_ids(draw, b)
 
 
+@st.composite
+def equal_count_pairs(draw, max_k=60):
+    """(a, b, identical): b has as many communities as a, and is either a
+    relabeled copy of a or a with one node moved out of a community of
+    two or more into another community; both with permuted ids."""
+    K = draw(st.integers(3, max_k))
+    Nc = draw(st.integers(2, K - 1))
+    assign = list(range(Nc)) + draw(st.lists(st.integers(0, Nc - 1), min_size=K - Nc, max_size=K - Nc))
+    a = Partition(draw(st.permutations(assign)))
+    identical = draw(st.booleans())
+    b = a
+    if not identical:
+        node = draw(st.sampled_from([v for v in range(K) if len(a.comms[a.assign[v]]) > 1]))
+        dst = draw(st.sampled_from([c for c in range(Nc) if c != a.assign[node]]))
+        moved = list(a.assign)
+        moved[node] = dst
+        b = Partition(moved)
+        assert b.Nc == a.Nc
+    return permuted_ids(draw, a), permuted_ids(draw, b), identical
+
+
 def scheme_fixture():
     """30 nodes in 6 planted communities scattered into 5 found ones.
 
@@ -147,6 +168,15 @@ class TestVI:
         got, want = vi(a, b), reference_vi(a, b)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert vi(a, b, normalized=True) == want / math.log(a.K)
+
+    @settings(max_examples=300)
+    @given(equal_count_pairs())
+    def test_equal_community_counts_match_reference(self, case):
+        a, b, identical = case
+        got, want = vi(a, b), reference_vi(a, b)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert vi(a, b, normalized=True) == want / math.log(a.K)
+        assert (got == 0.0) == identical
 
     @given(partition_pairs(max_k=40))
     def test_bounded_by_lnK(self, pair):
