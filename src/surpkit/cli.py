@@ -168,7 +168,10 @@ def cmd_landscape_embed(args) -> int:
 
 def cmd_landscape_walk(args) -> int:
     D = load_distance_matrix(args.dist)
-    values = np.loadtxt(args.values, ndmin=1)
+    try:
+        values = np.loadtxt(args.values, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{args.values}: {exc}") from None
     walk = peak_walk(values, D, args.top)
     with open(args.out, "w") as fh:
         fh.write("cum_distance,height\n")

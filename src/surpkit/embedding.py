@@ -226,7 +226,13 @@ def load_distance_matrix(path) -> np.ndarray:
         raise ValueError(f"{path}: size {size!r}: distance matrix must not be empty")
     if len(tokens) != 1 + N * N:
         raise ValueError(f"{path}: expected {N * N} entries after the size, got {len(tokens) - 1}")
-    return _validate_D(np.array(tokens[1:], dtype=float).reshape(N, N))
+    entries = []
+    for tok in tokens[1:]:
+        try:
+            entries.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{path}: matrix entry {tok!r} is not a number") from None
+    return _validate_D(np.array(entries).reshape(N, N))
 
 
 def save_distance_matrix(D: np.ndarray, path) -> None:

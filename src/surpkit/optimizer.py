@@ -27,7 +27,10 @@ in the pair, and an exchange's delta depends only on the node, its
 community and the target.  Until a move is applied none of these
 changes, so a repeated call would price the same (M, ell) and be
 rejected again.  Applying any move clears the record, which also covers
-the renumbering of community ids.
+the renumbering of community ids.  By the same argument stepper() leaves
+out a sub-community extraction or exchange whose every block either
+repeats an extraction or exchange just rejected in the current state or
+is one sub_exchange would skip unpriced (argument in stepper()).
 
 A community whose induced subgraph is complete or edgeless has its
 singletons as sub-communities, found without recursing.  Such a subgraph
@@ -40,8 +43,10 @@ unchanged (argument in subcommunities()).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +60,13 @@ TIE_EPS = 1e-12
 MOVE_KINDS = ("merge", "exchange", "extract", "sub_extract", "sub_exchange")
 
 
-@dataclass(frozen=True)
-class MoveOutcome:
+class MoveOutcome(NamedTuple):
+    """What one greedy move did: applied or not, its deltaS, and its kind.
+
+    A named tuple: the greedy loop builds one per priced move, and a tuple
+    is the cheapest immutable record to build.
+    """
+
     accepted: bool
     deltaS: float
     kind: str
@@ -126,8 +136,9 @@ class SurpriseState:
         return S
 
     def _check_comm(self, cid: int) -> None:
-        if not (0 <= cid < self.partition.Nc):
-            raise ValueError(f"community id {cid} out of range [0, {self.partition.Nc})")
+        Nc = len(self.partition.comms)
+        if not (0 <= cid < Nc):
+            raise ValueError(f"community id {cid} out of range [0, {Nc})")
 
     def _count_links(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
         """Node-to-community and community-to-community link counts, from scratch."""
@@ -415,6 +426,27 @@ class SurpriseState:
             best_dS = max(best_dS, dS)
         return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_exchange")
 
+    def _sub_targets(self, ci: int) -> list[int]:
+        """The communities stepper() offers ci's plan to, in ascending order.
+
+        Every other community when some block's extraction raises S by more
+        than TIE_EPS.  Otherwise those some block links to, leaving out the
+        pair of a singleton block {u} and a community cj when the exchange
+        of u into cj is in _rejected.  The argument is in stepper().
+        """
+        plan = self._plan(ci)
+        if any(blk.S_extract - self.S > TIE_EPS for blk in plan):
+            return [cj for cj in range(len(self.partition.comms)) if cj != ci]
+        rejected = self._rejected
+        targets: set[int] = set()
+        for blk in plan:
+            if len(blk.nodes) == 1:
+                (u,) = blk.nodes
+                targets.update(cj for cj in blk.links if ("exchange", u, cj) not in rejected)
+            else:
+                targets.update(blk.links)
+        return sorted(targets)
+
     # ----- driving loops --------------------------------------------------
 
     def stepper(self) -> dict[str, int]:
@@ -428,20 +460,45 @@ class SurpriseState:
         was accepted.  A merge or exchange already rejected since the last
         applied move is not tried again (see the module docstring).
 
-        A sub-community exchange of ci into cj is not called when no block
-        of ci's plan links to cj and no block's extraction raises S by more
-        than TIE_EPS.  sub_exchange would skip every block unpriced under
-        that same test (see its docstring) and reject without applying
-        anything, so the call changes no state.  The plan is read afresh
-        for every cj, because each applied move drops it (and changes S);
-        the test is redone whenever the plan is a new object.
+        Two kinds of call are left out because their outcome is already
+        known: every pricing skipped has the same (dM, dell) as a move
+        already priced and rejected in the current state, or its block is
+        one sub_exchange would skip unpriced.  A skipped call would apply
+        nothing and draw nothing from the rng, and every value it would
+        price is already in the memo, so decisions, the rng stream and the
+        kernel evaluations are those of the loop that makes every call.
+
+        sub_extract(ci) is not called when ci's plan holds only singleton
+        blocks.  When ci keeps two or more nodes, the extract pass before
+        it has ended with a sweep that rejected every node of ci: the pass
+        stops only on such a sweep or when ci is down to one node.  That
+        sweep priced extract(u) for every u in ci and applied nothing, so
+        the state is the one it priced.  A singleton block {u} is priced as
+        _delta({u}, ci, None), the (dM, dell) of extract(u), and is
+        rejected again.  The plan is built where sub_extract would build
+        it, so the recursion draws from the rng in the same order.
+
+        sub_exchange(ci, cj) is called only for the targets _sub_targets
+        lists, in ascending order; after an applied move the list is
+        rebuilt and the scan resumes after cj.  An applied sub-exchange
+        moves a proper block into an existing community, so the ids do not
+        change; a rejected one changes nothing, so the list stays valid.
+        When some block's extraction raises S by more than TIE_EPS, that
+        block is priced for every target, and every other community is
+        listed.  Otherwise sub_exchange skips, unpriced, every block with
+        no link into cj (see its docstring).  A singleton block {u} moved
+        out of ci (c nodes) into cj (t nodes) has dM = t + 1 - c and dell =
+        u's links into cj minus its links into ci, the (dM, dell) of
+        exchange(u, cj).  When that exchange is in _rejected, it was priced
+        and rejected in the current state, because every applied move
+        clears the set.  A target that only such blocks reach is rejected
+        by sub_exchange without applying anything.
 
         Returns acceptance counts per move kind.
         """
         counts = {kind: 0 for kind in MOVE_KINDS}
         p = self.partition
         rejected = self._rejected
-        seen_plan = None
         changed = True
         while changed:
             changed = False
@@ -490,28 +547,32 @@ class SurpriseState:
                             counts["extract"] += 1
                             changed = True
                             success = True
-                # sub-community extraction to exhaustion
-                while len(p.comms[ci]) > 1 and self.sub_extract(ci).accepted:
-                    counts["sub_extract"] += 1
-                    changed = True
-                # sub-community exchanges to exhaustion
+                # sub-community extraction to exhaustion.  While ci keeps two
+                # or more nodes, the extract pass has just ended with a sweep
+                # that rejected every node, and a plan of singleton blocks
+                # would repeat those extractions
+                if len(p.comms[ci]) > 1 and any(len(blk.nodes) > 1 for blk in self._plan(ci)):
+                    while len(p.comms[ci]) > 1 and self.sub_extract(ci).accepted:
+                        counts["sub_extract"] += 1
+                        changed = True
+                # sub-community exchanges to exhaustion, over the candidate
+                # targets only
                 success = True
                 while success and len(p.comms[ci]) > 1:
                     success = False
-                    for cj in range(p.Nc):
-                        if cj == ci or len(p.comms[ci]) < 2:
-                            continue
-                        plan = self._plan(ci)
-                        if plan is not seen_plan:
-                            seen_plan = plan
-                            clears = any(blk.S_extract - self.S > TIE_EPS for blk in plan)
-                            linked = set().union(*(blk.links for blk in plan))
-                        if not clears and cj not in linked:
-                            continue  # sub_exchange would skip every block
+                    targets = self._sub_targets(ci)
+                    k = 0
+                    while k < len(targets):
+                        cj = targets[k]
+                        k += 1
                         if self.sub_exchange(ci, cj).accepted:
                             counts["sub_exchange"] += 1
                             changed = True
                             success = True
+                            if len(p.comms[ci]) < 2:
+                                break
+                            targets = self._sub_targets(ci)
+                            k = bisect_right(targets, cj)
                 ci += 1
         return counts
 

@@ -94,7 +94,22 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
         logs = _extend_logs(n)
     logs_M = logs if M <= n else None
     # log of the first term, j = ell
-    lt0 = ln_choose(M, ell) + ln_choose(F - M, n - ell) - ln_choose(F, n)
+    if F >= _table.size:
+        # grow the table in ln_choose's steps: its reads reach M, then F - M,
+        # then F, and every other index is at most one of these.  Each step
+        # sums its logs onto the last entry, so a table grown in other steps
+        # differs in the last bits.
+        ln_factorial(M)
+        ln_factorial(F - M)
+        ln_factorial(F)
+    # ln_choose's nine table reads in ln_choose's order, so the bits are its
+    # own; the checks above keep every index in [0, F]
+    t = _table.item
+    lt0 = (
+        (t(M) - t(ell) - t(M - ell))
+        + (t(F - M) - t(n - ell) - t(F - M - n + ell))
+        - (t(F) - t(n) - t(F - n))
+    )
     # stream the remaining terms through successive ratios
     cur = 0.0   # log(term_j / term_ell)
     mx = 0.0    # running max of cur

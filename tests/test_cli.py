@@ -301,6 +301,34 @@ class TestLandscape:
         assert err == f"error: {dist}: {message}\n"
         assert not coords_out.exists()
 
+    def test_non_numeric_matrix_entry_fails(self, capsys, tmp_path):
+        dist = tmp_path / "dist.txt"
+        dist.write_text("2\n0 x\nx 0\n")
+        coords_out = tmp_path / "coords.tsv"
+        code = main(["landscape", "embed", "--dist", str(dist), "--out", str(coords_out)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {dist}: matrix entry 'x' is not a number\n"
+        assert not coords_out.exists()
+
+    def test_non_numeric_value_fails(self, capsys, tmp_path):
+        from surpkit.embedding import save_distance_matrix
+
+        dist = tmp_path / "dist.txt"
+        save_distance_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), dist)
+        values = tmp_path / "values.txt"
+        values.write_text("0\nzz\n")
+        walk_out = tmp_path / "walk.csv"
+        code = main([
+            "landscape", "walk", "--values", str(values), "--dist", str(dist),
+            "--top", "2", "--out", str(walk_out),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {values}: ") and err.count("\n") == 1
+        assert "'zz'" in err
+        assert not walk_out.exists()
+
 
 class TestEntryPoint:
     def test_console_script(self, tmp_path):

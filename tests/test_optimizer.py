@@ -1,5 +1,7 @@
+import importlib
 import math
 import random
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from itertools import combinations
 
@@ -12,9 +14,11 @@ from surpkit.benchmarks import build_benchmark
 from surpkit.datasets import disconnected_cliques, toy_graph
 from surpkit.exhaustive import best_partitions, best_surprise_partitions
 from surpkit.graph import Graph
-from surpkit.optimizer import MOVE_KINDS, TIE_EPS, SurpriseState, sample_partitions
+from surpkit.optimizer import MOVE_KINDS, TIE_EPS, MoveOutcome, SurpriseState, sample_partitions
 from surpkit.partition import Partition
 from surpkit.surprise import partition_stats, surprise
+
+optimizer_module = importlib.import_module("surpkit.optimizer")
 
 
 def bridged_cliques():
@@ -603,15 +607,49 @@ class TestClosedFormSubcommunities:
                 runs.append((accepted, state.partition.assign, state.S, state.rng.bit_generator.state))
         assert runs[0] == runs[1]
 
+
+def counted_run(g, p, seed, loop):
+    """Run ``loop`` as every state's stepper(), the recursion's too, counting
+    kernel evaluations and sub_extract calls.
+
+    Returns the acceptance counts, the state and the call counts.
+    """
+    calls = Counter()
+    kernel, sub_extract = optimizer_module.surprise, SurpriseState.sub_extract
+
+    def counted_kernel(*args):
+        calls["surprise"] += 1
+        return kernel(*args)
+
+    def counted_sub_extract(state, cid):
+        calls["sub_extract"] += 1
+        return sub_extract(state, cid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer_module, "surprise", counted_kernel)
+        mp.setattr(SurpriseState, "sub_extract", counted_sub_extract)
+        mp.setattr(SurpriseState, "stepper", loop)
+        state = SurpriseState(g, p, rng=seed)
+        counts = state.stepper()
+    return counts, state, calls
+
+
 class TestRejectedMoves:
-    """stepper() with its rejected-move set against the loop that re-prices every move."""
+    """stepper(), with its rejected-move set and the sub-community calls it
+    leaves out, against reference_stepper, which makes every call, at every
+    level of the recursion."""
 
     @staticmethod
     def assert_same_run(g, p=None, seed=0):
-        fast, ref = SurpriseState(g, p, rng=seed), SurpriseState(g, p, rng=seed)
-        assert fast.stepper() == reference_stepper(ref)
+        """Same counts, assignment and S, and the same kernel evaluations:
+        the left-out calls would price only values the memo holds."""
+        counts, fast, fast_calls = counted_run(g, p, seed, SurpriseState.stepper)
+        ref_counts, ref, ref_calls = counted_run(g, p, seed, reference_stepper)
+        assert counts == ref_counts
         assert fast.partition.assign == ref.partition.assign
         assert fast.S == ref.S
+        assert fast_calls["surprise"] == ref_calls["surprise"]
+        return fast_calls, ref_calls
 
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_partitions(max_k=14, max_nc=6))
@@ -623,9 +661,21 @@ class TestRejectedMoves:
     def test_matches_reference_from_singletons(self, g):
         self.assert_same_run(g)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_on_degraded_benchmark(self, seed):
-        self.assert_same_run(degraded_k63(seed), seed=seed)
+        fast, ref = self.assert_same_run(degraded_k63(seed), seed=seed)
+        assert 0 < fast["sub_extract"] < ref["sub_extract"]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_on_sparse_random_cases(self, seed):
+        self.assert_same_run(*sparse_random_case(seed), seed=seed)
+
+    def test_clique_optimum_needs_no_sub_extract(self):
+        # every community of the optimum is a clique, so every plan holds
+        # only singleton blocks, each an extraction just rejected
+        g, _ = disconnected_cliques([4, 5, 6])
+        fast, ref = self.assert_same_run(g)
+        assert fast["sub_extract"] == 0 < ref["sub_extract"]
 
     @pytest.mark.parametrize("seed", [197, 1234])
     def test_matches_reference_when_extraction_reopens(self, seed):
@@ -652,6 +702,18 @@ class TestRejectedMoves:
         assert fast.partition.assign == ref.partition.assign
         assert fast.S == ref.S
         assert 0 < fast_calls < len(calls) - fast_calls
+
+
+class TestMoveOutcome:
+    def test_attribute_access(self):
+        out = MoveOutcome(True, 0.5, "merge")
+        assert (out.accepted, out.deltaS, out.kind) == (True, 0.5, "merge")
+
+    def test_rejects_assignment(self):
+        out = MoveOutcome(False, -1.0, "exchange")
+        with pytest.raises(AttributeError):
+            out.accepted = True
+        assert out.accepted is False
 
 
 class TestLinkTables:

@@ -3,6 +3,7 @@ import math
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,6 +228,29 @@ class TestKernelBits:
         args = (1_999_000, 1_000_000, 40_000, 39_000)
         assert surprise(*args).hex() == reference_surprise(*args).hex()
         assert len(surprise_module._logs) == 40_001
+
+    @pytest.mark.parametrize(
+        "args",
+        [(4_950, 1_200, 900, 400), (4_950, 1_200, 900, 900), (4_950, 4_950, 900, 900),
+         (4_950, 0, 0, 0), (45, 20, 45, 20), (190_000, 3_000, 2_500, 700)],
+    )
+    @pytest.mark.parametrize("start", ["two entries", "F entries"])
+    def test_table_grown_inside_the_kernel(self, monkeypatch, args, start):
+        # a call that finds _table shorter than F grows it in the same steps
+        # as reference_surprise: a table grown in other steps differs in the
+        # last bits, and every later evaluation reads it
+        F = args[0]
+        monkeypatch.setattr(surprise_module, "_table", np.zeros(2))
+        if start == "F entries":
+            ln_factorial(F + 1)
+        short = surprise_module._table[:2 if start == "two entries" else F].copy()
+        monkeypatch.setattr(surprise_module, "_table", short.copy())
+        got = surprise(*args)
+        grown = surprise_module._table
+        monkeypatch.setattr(surprise_module, "_table", short.copy())
+        assert got.hex() == reference_surprise(*args).hex()
+        assert grown.size > F
+        assert np.array_equal(grown, surprise_module._table)
 
     def test_concurrent_extension(self):
         F, M = 2_000_000, 700_000
