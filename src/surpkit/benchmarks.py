@@ -21,10 +21,6 @@ from surpkit.metrics import pielou
 from surpkit.partition import Partition
 
 
-def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
 # ----- Pielou-controlled size lists --------------------------------------
 
 
@@ -69,7 +65,7 @@ def pielouer(
         raise ValueError("need at least 2 sizes")
     if not (0.0 < target <= 1.0):
         raise ValueError("target evenness must be in (0, 1]")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     sizes = [max(size_floor, size_start)] * N
 
     def perturb(s: list[int], r: np.random.Generator):
@@ -106,7 +102,7 @@ def pielouer_nodes(
     lo, hi = K_range
     if N * size_floor > hi:
         raise ValueError(f"cannot fit {N} sizes >= {size_floor} into a total of {hi}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     total = max(lo, N * size_floor)
     base, extra = divmod(total, N)
     sizes = [base + (1 if i < extra else 0) for i in range(N)]
@@ -252,7 +248,7 @@ def build_benchmark(
         raise ValueError("clique sizes must be >= 2")
     if not (0.0 <= r < 1.0):
         raise ValueError("singleton fraction must be in [0, 1)")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     total = sum(cliques)
     K = int(total / (1.0 - r))
     n_singles = K - total  # equals floor(r*K)
@@ -337,7 +333,7 @@ def rc_degrade(graph: Graph, R: float, rng: np.random.Generator | int | None = N
     """
     if not (0.0 <= R <= 100.0):
         raise ValueError("percentage must be in [0, 100]")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     edges = sorted(graph.edges)
     n_remove = int(R * len(edges) / 100.0)
     if n_remove:

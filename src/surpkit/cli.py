@@ -142,9 +142,20 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _load_values(path) -> np.ndarray:
+    """The numbers in a text file, a parse error prefixed with the path."""
+    try:
+        return np.loadtxt(path, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_mle(args) -> int:
-    samples = np.loadtxt(args.samples, ndmin=1)
+    samples = _load_values(args.samples)
     if args.discrete:
+        bad = samples[~np.isfinite(samples) | (samples != np.floor(samples))]
+        if bad.size:
+            raise ValueError(f"{args.samples}: discrete sample {float(bad[0])!r} is not an integer")
         samples = samples.astype(int)
         gamma = gamma_mle_discrete(samples, int(args.x0))
         ll = lnL_discrete(gamma, samples, int(args.x0))
@@ -168,10 +179,7 @@ def cmd_landscape_embed(args) -> int:
 
 def cmd_landscape_walk(args) -> int:
     D = load_distance_matrix(args.dist)
-    try:
-        values = np.loadtxt(args.values, ndmin=1)
-    except ValueError as exc:
-        raise ValueError(f"{args.values}: {exc}") from None
+    values = _load_values(args.values)
     walk = peak_walk(values, D, args.top)
     with open(args.out, "w") as fh:
         fh.write("cum_distance,height\n")

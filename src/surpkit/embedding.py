@@ -158,7 +158,7 @@ def embed(
     """
     D = _validate_D(D)
     N = D.shape[0]
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     coords = rng.random((N, 2))
     lamb = config.lamb
     w, m2w = _weights(D, config.gamma_exp, config.d_lim)

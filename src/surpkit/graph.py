@@ -128,6 +128,8 @@ def load_edge_list(path) -> Graph:
                 header = line[1:].split()
                 if len(header) == 2 and header[0] == "nodes" and header[1].isdigit():
                     declared = int(header[1])
+                    if declared < 1:
+                        raise EdgeListError(f"{path}:{lineno}: declared node count {declared} is below 1")
                 continue
             if not line:
                 continue

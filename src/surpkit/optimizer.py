@@ -107,10 +107,7 @@ class SurpriseState:
         self.partition = partition.copy() if partition is not None else Partition.singletons(graph.K)
         if self.partition.K != graph.K:
             raise ValueError("partition size does not match graph")
-        if isinstance(rng, np.random.Generator):
-            self.rng = rng
-        else:
-            self.rng = np.random.default_rng(rng)
+        self.rng = np.random.default_rng(rng)  # a Generator is kept as it is
         self.M, self.ell, self.S = partition_stats(graph, self.partition)
         # memo for sub-community decompositions, keyed by community contents:
         # the recursion depends only on the induced subgraph, so entries
@@ -664,27 +661,12 @@ class SurpriseState:
                     exchanges += 1
                     break
         sub_exchanges = 0
-        ci = 0
-        while ci < p.Nc:
-            if len(p.comms[ci]) < 2:
-                ci += 1
-                continue
-            moved = False
-            for cTo in range(p.Nc):
-                if cTo == ci:
-                    continue
-                for sub in sorted(self.subcommunities(ci), key=min):
-                    # singleton blocks are the node pass's job; relocating
-                    # them here would undo exchanges made moments ago
-                    if len(sub) < 2 or len(sub) == len(p.comms[ci]):
-                        continue
-                    if tie(sub, ci, cTo):
-                        sub_exchanges += 1
-                        moved = True
-                        break
-                if moved:
-                    break
-            ci += 1
+        # a block move never empties its community, so Nc stays fixed
+        for ci in range(p.Nc):
+            # singleton blocks are the node pass's job; relocating them here
+            # would undo exchanges made moments ago
+            blocks = [blk.nodes for blk in self._plan(ci) if len(blk.nodes) > 1]
+            sub_exchanges += any(tie(b, ci, cTo) for cTo in range(p.Nc) if cTo != ci for b in blocks)
         return exchanges, sub_exchanges
 
     def check_deltas(self) -> list[tuple[tuple, float]]:
@@ -755,7 +737,7 @@ def sample_partitions(
     partitions were seen (or ``max_sweeps`` sweeps were spent).  Also
     records the greedy optimum and its shake neighborhood.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     seen: dict[tuple[int, ...], Partition] = {}
 
     def record(p: Partition) -> None:

@@ -96,7 +96,7 @@ class DiscretePowerLaw:
             raise ValueError("kmax must be >= 1")
         self.gamma = gamma
         self.kmax = kmax
-        self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self.rng = np.random.default_rng(rng)
         k = np.arange(1, self._TABLE_CAP + 1, dtype=float)
         self._cdf = np.cumsum(k ** -gamma) / zeta(gamma, 1)
         self.proposals = 0
@@ -138,7 +138,7 @@ def sample_powerlaw_continuous(
         raise ValueError("need gamma > 1 for a normalizable distribution")
     if x0 <= 0.0:
         raise ValueError("support must start above 0")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     u = rng.random(count)
     return x0 * (1.0 - u) ** (-1.0 / (gamma - 1.0))
 

@@ -29,6 +29,25 @@ _logs = [-math.inf]
 _table_lock = threading.Lock()  # serializes extension of _table and _logs
 
 
+def _grow(m: int, n: int) -> None:
+    """Extend _table so that index m is valid and _logs so that index n is.
+
+    The table is one running sum: a new stretch starts its cumsum from the
+    last entry, so entry m is ln 2 + ... + ln m added in index order, the
+    same float however the table grew.
+    """
+    global _table, _logs
+    with _table_lock:
+        t = _table
+        if m >= t.size:
+            ext = np.log(np.arange(t.size, max(m + 1, 2 * t.size), dtype=float))
+            ext[0] += t[-1]
+            _table = np.concatenate([t, np.cumsum(ext)])
+        logs = _logs
+        if n >= len(logs):
+            _logs = logs + [math.log(i) for i in range(len(logs), n + 1)]
+
+
 def ln_factorial(m: int) -> float:
     """Natural log of m!, from a cumulative log table extended on demand.
 
@@ -37,27 +56,9 @@ def ln_factorial(m: int) -> float:
     """
     if m < 0:
         raise ValueError("factorial of a negative number")
-    global _table
-    t = _table
-    if m >= t.size:
-        with _table_lock:
-            t = _table
-            if m >= t.size:
-                hi = max(m + 1, 2 * t.size)
-                ext = np.log(np.arange(t.size, hi, dtype=float))
-                _table = np.concatenate([t, t[-1] + np.cumsum(ext)])
-            t = _table
-    return t.item(m)
-
-
-def _extend_logs(n: int) -> list[float]:
-    """The list of math.log(i), extended so that index n is valid."""
-    global _logs
-    with _table_lock:
-        logs = _logs
-        if n >= len(logs):
-            logs = _logs = logs + [math.log(i) for i in range(len(logs), n + 1)]
-    return logs
+    if m >= _table.size:
+        _grow(m, 0)
+    return _table.item(m)
 
 
 def ln_choose(m: int, k: int) -> float:
@@ -90,20 +91,13 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
     # ln(j) and ln(n-j+1) come from the list, and ln(M-j+1) too when M <= n;
     # the entries are math.log's own results, so the bits are unchanged
     logs = _logs
-    if n >= len(logs):
-        logs = _extend_logs(n)
+    if F >= _table.size or n >= len(logs):
+        _grow(F, n)
+        logs = _logs
     logs_M = logs if M <= n else None
-    # log of the first term, j = ell
-    if F >= _table.size:
-        # grow the table in ln_choose's steps: its reads reach M, then F - M,
-        # then F, and every other index is at most one of these.  Each step
-        # sums its logs onto the last entry, so a table grown in other steps
-        # differs in the last bits.
-        ln_factorial(M)
-        ln_factorial(F - M)
-        ln_factorial(F)
-    # ln_choose's nine table reads in ln_choose's order, so the bits are its
-    # own; the checks above keep every index in [0, F]
+    # log of the first term, j = ell: ln_choose's nine table reads in
+    # ln_choose's order, so the bits are its own; the checks above keep
+    # every index in [0, F]
     t = _table.item
     lt0 = (
         (t(M) - t(ell) - t(M - ell))

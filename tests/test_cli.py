@@ -232,6 +232,25 @@ class TestMLE:
         fields = dict(kv.split("=") for kv in out.split())
         assert float(fields["gamma"]) == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", ["2.7", "nan", "inf"])
+    def test_non_integral_discrete_sample_fails(self, capsys, tmp_path, bad):
+        # truncating 2.7 to 2 used to give gamma=1.76389840 without a word
+        path = tmp_path / "samples.txt"
+        path.write_text(f"1 {bad} 3 5 2.5\n")
+        code = main(["mle", "--samples", str(path), "--discrete"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: discrete sample {bad} is not an integer\n"
+
+    def test_non_numeric_sample_fails(self, capsys, tmp_path):
+        path = tmp_path / "samples.txt"
+        path.write_text("x\n")
+        code = main(["mle", "--samples", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "'x'" in err
+
 
 class TestLandscape:
     def test_embed_and_walk(self, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -142,6 +144,14 @@ class TestIO:
         path = tmp_path / "small.edges"
         path.write_text("# nodes 3\n0 1\n1 3\n")
         with pytest.raises(EdgeListError, match=r":3: node id 3 not below the declared node count 3"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("text", ["# nodes 0\n", "0 1\n# nodes 0\n"])
+    def test_node_count_header_below_one(self, tmp_path, text):
+        path = tmp_path / "empty.edges"
+        path.write_text(text)
+        lineno = text.splitlines().index("# nodes 0") + 1
+        with pytest.raises(EdgeListError, match=rf"^{re.escape(str(path))}:{lineno}: declared node count 0 is below 1$"):
             load_edge_list(path)
 
     def test_other_comments_do_not_set_node_count(self, tmp_path):

@@ -16,9 +16,11 @@ from surpkit.exhaustive import best_partitions, best_surprise_partitions
 from surpkit.graph import Graph
 from surpkit.optimizer import MOVE_KINDS, TIE_EPS, MoveOutcome, SurpriseState, sample_partitions
 from surpkit.partition import Partition
-from surpkit.surprise import partition_stats, surprise
+from surpkit.surprise import ln_factorial, partition_stats, surprise
 
 optimizer_module = importlib.import_module("surpkit.optimizer")
+# the module itself: the package re-exports the function under the same name
+surprise_module = importlib.import_module("surpkit.surprise")
 
 
 def bridged_cliques():
@@ -221,6 +223,67 @@ def assert_anneal_matches_reference(g, p, seed, temperatures):
         assert state.S == partition_stats(g, ref)[2]
         assert state.rng.bit_generator.state == ref_rng.bit_generator.state
     assert state.verify()
+
+
+def reference_shake(state):
+    """shake() before it read the plan: the sub-community pass re-sorts
+    subcommunities(ci) for every target and filters out the whole community."""
+    p = state.partition
+
+    def tie(nodes, src, dst):
+        dM, dell = state._delta(nodes, src, dst)
+        if abs(state._S_at(state.M + dM, state.ell + dell) - state.S) < TIE_EPS:
+            state._move(nodes, src, dst, dM, dell, state.S)
+            return True
+        return False
+
+    exchanges = 0
+    for node in range(state.graph.K):
+        src = p.assign[node]
+        if len(p.comms[src]) <= 1:
+            continue
+        for cTo in range(p.Nc):
+            if cTo != src and tie((node,), src, cTo):
+                exchanges += 1
+                break
+    sub_exchanges = 0
+    ci = 0
+    while ci < p.Nc:
+        if len(p.comms[ci]) < 2:
+            ci += 1
+            continue
+        moved = False
+        for cTo in range(p.Nc):
+            if cTo == ci:
+                continue
+            for sub in sorted(state.subcommunities(ci), key=min):
+                if len(sub) < 2 or len(sub) == len(p.comms[ci]):
+                    continue
+                if tie(sub, ci, cTo):
+                    sub_exchanges += 1
+                    moved = True
+                    break
+            if moved:
+                break
+        ci += 1
+    return exchanges, sub_exchanges
+
+
+def shake_runs(g, p, seed, temperatures):
+    """shake() and reference_shake on twin states: stepper(), then one shake
+    after it and after each anneal sweep.  Returns per side the shake results,
+    the final assignment and S, and the rng state."""
+    runs = []
+    for shake in (SurpriseState.shake, reference_shake):
+        state = SurpriseState(g, p, rng=seed)
+        state.stepper()
+        results = [shake(state)]
+        for T in temperatures:
+            state.anneal_step(T)
+            results.append(shake(state))
+        assert state.verify()
+        runs.append((results, state.partition.assign, state.S, state.rng.bit_generator.state))
+    return runs
 
 
 @contextmanager
@@ -799,6 +862,34 @@ class TestShake:
         state = SurpriseState(g, truth)
         assert state.shake() == (0, 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions(max_k=12), st.integers(0, 2 ** 31))
+    def test_matches_reference_from_any_start(self, gp, seed):
+        g, p = gp
+        ours, ref = shake_runs(g, p, seed, (1.0, 0.5, 0.25))
+        assert ours == ref
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_on_degraded_benchmark(self, seed):
+        ours, ref = shake_runs(degraded_k63(seed), None, seed, (2.0, 1.0, 0.5, 0.25))
+        assert ours == ref
+
+    def test_matches_reference_where_blocks_tie(self):
+        # small random graphs from random starts, where sub-community
+        # exchanges that keep S do happen; in cases 160, 322 and 1712 more
+        # than one block ties, so the order of targets and blocks decides
+        # which one moves
+        sub_exchanges = 0
+        for seed in [*range(40), 160, 322, 1712]:
+            r = random.Random(seed)
+            K = r.randint(6, 16)
+            p = r.uniform(0.1, 0.6)
+            g = Graph(K, [(i, j) for i in range(K) for j in range(i + 1, K) if r.random() < p])
+            ours, ref = shake_runs(g, Partition([r.randrange(4) for _ in range(K)]), seed, (1.0, 0.5, 0.25))
+            assert ours == ref
+            sub_exchanges += sum(s for _, s in ours[0])
+        assert sub_exchanges > 0
+
     def test_path_on_two_clique_degenerate(self):
         # 2-clique 0-1 with a 3-path 2-3-4 hanging off node 1
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -855,6 +946,20 @@ class TestCheckDeltasAndVerify:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_result_does_not_depend_on_earlier_table_growth(self, monkeypatch, seed):
+        # the ln-factorial table is process-wide; whatever grew it before,
+        # the greedy run reads the same floats
+        results = set()
+        for before in (None, 100, 1_000):
+            monkeypatch.setattr(surprise_module, "_table", np.zeros(2))
+            if before is not None:
+                ln_factorial(before)
+            state = SurpriseState(degraded_k63(seed))
+            state.stepper()
+            results.add((state.S.hex(), tuple(state.partition.assign)))
+        assert len(results) == 1
+
     def test_same_seed_same_result(self, toy):
         results = []
         for _ in range(2):

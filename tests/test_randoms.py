@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from surpkit.benchmarks import build_benchmark, pielouer, pielouer_nodes, rc_degrade
+from surpkit.datasets import toy_graph
+from surpkit.embedding import embed
+from surpkit.optimizer import SurpriseState, sample_partitions
 from surpkit.randoms import (
     DiscretePowerLaw,
     dzeta_dgamma,
@@ -209,3 +213,38 @@ class TestStats:
     def test_domain(self):
         with pytest.raises(ValueError):
             stats([3.0])
+
+
+
+_TRIANGLE_PATH = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+# entry points that store the generator they were given, returning it
+_KEEPERS = {
+    "default_rng": np.random.default_rng,
+    "SurpriseState": lambda g: SurpriseState(toy_graph(), rng=g).rng,
+    "DiscretePowerLaw": lambda g: DiscretePowerLaw(2.5, rng=g).rng,
+    "build_benchmark": lambda g: build_benchmark([5, 5, 5], r=0.1, rng=g)._rng,
+}
+# entry points that only draw from it
+_DRAWERS = {
+    "sample_partitions": lambda g: sample_partitions(toy_graph(), 3, rng=g, max_sweeps=5),
+    "sample_powerlaw_continuous": lambda g: sample_powerlaw_continuous(2.5, rng=g, count=3),
+    "embed": lambda g: embed(_TRIANGLE_PATH, rng=g),
+    "pielouer": lambda g: pielouer(6, 0.8, rng=g),
+    "pielouer_nodes": lambda g: pielouer_nodes(6, 0.8, (40, 60), rng=g),
+    "rc_degrade": lambda g: rc_degrade(toy_graph(), 50, rng=g),
+}
+_ENTRY_POINTS = _KEEPERS | _DRAWERS
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_passed_generator_is_used_as_is(name):
+    # np.random.default_rng(g) returns g itself, so no entry point needs an
+    # isinstance branch: a stored generator is g, and the draws advance g
+    # exactly as far as a run from the same seed
+    g = np.random.default_rng(11)
+    kept = _ENTRY_POINTS[name](g)
+    if name in _KEEPERS:
+        assert kept is g
+    seeded = np.random.default_rng(11)
+    _ENTRY_POINTS[name](seeded)
+    assert g.bit_generator.state == seeded.bit_generator.state

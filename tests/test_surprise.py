@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -124,6 +125,68 @@ class TestLnFactorial:
             assert results[i] == pytest.approx(math.lgamma(m + 1), rel=1e-12)
 
 
+class TestTableHistory:
+    """Every table entry is the same float however the table grew."""
+
+    @staticmethod
+    def one_shot(m):
+        ext = np.log(np.arange(2, m + 1, dtype=float))
+        return np.concatenate([np.zeros(2), np.cumsum(ext)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 200_000), min_size=1, max_size=12))
+    def test_any_growth_sequence_gives_the_one_shot_table(self, targets):
+        saved = surprise_module._table
+        surprise_module._table = np.zeros(2)
+        try:
+            for m in targets:
+                ln_factorial(m)
+            grown = surprise_module._table
+        finally:
+            surprise_module._table = saved
+        assert grown.size > max(targets)
+        assert np.array_equal(grown, self.one_shot(grown.size - 1))
+
+    def test_concurrent_growth_gives_the_one_shot_table(self):
+        # threads growing the table to interleaved targets, through both
+        # ln_factorial and the kernel, still leave the one running sum
+        saved, interval = surprise_module._table, sys.getswitchinterval()
+        surprise_module._table = np.zeros(2)
+        targets = [1_000 + 7_919 * j % 150_000 for j in range(96)]
+        results = {}
+
+        def worker(i):
+            for m in targets[i::16]:
+                results[m] = ln_factorial(m), surprise(m, m // 3, m // 20, m // 40)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
+        try:
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            grown = surprise_module._table
+        finally:
+            sys.setswitchinterval(interval)
+            surprise_module._table = saved
+        assert not any(t.is_alive() for t in threads)
+        assert np.array_equal(grown, self.one_shot(grown.size - 1))
+        assert sorted(results) == sorted(targets)
+        for m, (lf, S) in results.items():
+            assert lf.hex() == float(grown[m]).hex()
+            assert S.hex() == surprise(m, m // 3, m // 20, m // 40).hex()
+
+    @pytest.mark.parametrize("before", [None, 100, 1_000, 4_950, 10_000])
+    def test_kernel_value_does_not_depend_on_earlier_growth(self, monkeypatch, before):
+        monkeypatch.setattr(surprise_module, "_table", np.zeros(2))
+        fresh = surprise(4_950, 1_200, 900, 400)
+        monkeypatch.setattr(surprise_module, "_table", np.zeros(2))
+        if before is not None:
+            ln_factorial(before)
+        assert surprise(4_950, 1_200, 900, 400).hex() == fresh.hex()
+
+
 class TestLnChoose:
     def test_edges(self):
         assert ln_choose(7, 0) == 0.0
@@ -236,9 +299,9 @@ class TestKernelBits:
     )
     @pytest.mark.parametrize("start", ["two entries", "F entries"])
     def test_table_grown_inside_the_kernel(self, monkeypatch, args, start):
-        # a call that finds _table shorter than F grows it in the same steps
-        # as reference_surprise: a table grown in other steps differs in the
-        # last bits, and every later evaluation reads it
+        # a call that finds _table shorter than F grows it in one step, where
+        # reference_surprise grows it at M, F - M and F: the two tables end
+        # at different sizes but agree entry for entry
         F = args[0]
         monkeypatch.setattr(surprise_module, "_table", np.zeros(2))
         if start == "F entries":
@@ -250,7 +313,8 @@ class TestKernelBits:
         monkeypatch.setattr(surprise_module, "_table", short.copy())
         assert got.hex() == reference_surprise(*args).hex()
         assert grown.size > F
-        assert np.array_equal(grown, surprise_module._table)
+        common = min(grown.size, surprise_module._table.size)
+        assert np.array_equal(grown[:common], surprise_module._table[:common])
 
     def test_concurrent_extension(self):
         F, M = 2_000_000, 700_000
