@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -142,20 +143,32 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _load_values(path) -> np.ndarray:
-    """The numbers in a text file, a parse error prefixed with the path."""
+def _load_values(path, discrete: bool = False) -> np.ndarray:
+    """The numbers in a text file: at least one, all finite, and integers
+    when ``discrete``.  Every refusal is one line that names the path."""
     try:
-        return np.loadtxt(path, ndmin=1)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file with no numbers; the size check says so
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, ndmin=1)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if values.size == 0:
+        raise ValueError(f"{path}: no numbers in the file")
+    if discrete:
+        bad = values[~np.isfinite(values) | (values != np.floor(values))]
+        if bad.size:
+            raise ValueError(f"{path}: discrete sample {float(bad[0])!r} is not an integer")
+    else:
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"{path}: value {float(bad[0])!r} is not finite")
+    return values
 
 
 def cmd_mle(args) -> int:
-    samples = _load_values(args.samples)
+    samples = _load_values(args.samples, args.discrete)
     if args.discrete:
-        bad = samples[~np.isfinite(samples) | (samples != np.floor(samples))]
-        if bad.size:
-            raise ValueError(f"{args.samples}: discrete sample {float(bad[0])!r} is not an integer")
         samples = samples.astype(int)
         gamma = gamma_mle_discrete(samples, int(args.x0))
         ll = lnL_discrete(gamma, samples, int(args.x0))

@@ -79,19 +79,24 @@ class Graph:
 
         Returns the subgraph and the list mapping new ids back to original ids.
         Costs O(sum of the members' degrees), not O(edges of the whole graph).
+        The parent is a valid simple graph, so its induced edges are built
+        directly, without Graph.__init__'s checks.
         """
         order = sorted(set(nodes))
+        if not order:
+            raise ValueError("node set is empty")
         for u in order:
             self._check_node(u)
         index = {u: i for i, u in enumerate(order)}
         adj = self.adj
-        sub_edges = [
-            (i, index[v])
-            for i, u in enumerate(order)
-            for v in adj[u]
-            if v > u and v in index
-        ]
-        return Graph(len(order), sub_edges), order
+        sub_adj = [{index[v] for v in adj[u] if v in index} for u in order]
+        sub = Graph.__new__(Graph)
+        sub.K = m = len(order)
+        sub.adj = sub_adj
+        sub.edges = frozenset((i, j) for i, row in enumerate(sub_adj) for j in row if j > i)
+        sub.n = len(sub.edges)
+        sub.F = m * (m - 1) // 2
+        return sub, order
 
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self.K):

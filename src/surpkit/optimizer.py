@@ -19,6 +19,10 @@ and the sub-community moves move one block.
 Link counts are kept incrementally: every node's links into each
 community and every pair of communities' cross links, updated by each
 applied move, so the deltas of merges and single-node moves are lookups.
+A state that starts from singletons, as stepper() and every
+sub-community search do, reads both tables straight from the adjacency
+(node u's community is u) with M = ell = 0; a state given a partition
+counts them over every edge.
 
 The greedy loop does not repeat a merge or an exchange it has seen
 rejected since the last applied move.  This is exact: a merge of cA and
@@ -104,11 +108,7 @@ class SurpriseState:
         rng: np.random.Generator | int | None = None,
     ):
         self.graph = graph
-        self.partition = partition.copy() if partition is not None else Partition.singletons(graph.K)
-        if self.partition.K != graph.K:
-            raise ValueError("partition size does not match graph")
         self.rng = np.random.default_rng(rng)  # a Generator is kept as it is
-        self.M, self.ell, self.S = partition_stats(graph, self.partition)
         # memo for sub-community decompositions, keyed by community contents:
         # the recursion depends only on the induced subgraph, so entries
         # never go stale and repeat lookups skip the greedy recursion
@@ -122,7 +122,25 @@ class SurpriseState:
         self._rejected: set[tuple] = set()
         # links of each node into each community, and cross links between
         # each pair of communities; zero counts are dropped
-        self._node_links, self._comm_links = self._count_links()
+        if partition is None:
+            # singletons: community u is {u}, so node u has one link into
+            # each neighbour's community, and so has community u.  M = ell
+            # = 0, and surprise(F, 0, n, 0) is exactly 0.0: lt0's first
+            # bracket is t(0) - t(0) - t(0) = 0.0, its other two are the
+            # same three table reads t(F) - t(n) - t(F - n) in the same
+            # order and cancel exactly, and the term loop is empty because
+            # min(0, n) = 0
+            self.partition = Partition.singletons(graph.K)
+            self.M, self.ell = 0, 0
+            self.S = surprise(graph.F, 0, graph.n, 0)
+            self._node_links = [dict.fromkeys(nbs, 1) for nbs in graph.adj]
+            self._comm_links = [dict.fromkeys(nbs, 1) for nbs in graph.adj]
+        else:
+            if partition.K != graph.K:
+                raise ValueError("partition size does not match graph")
+            self.partition = partition.copy()
+            self.M, self.ell, self.S = partition_stats(graph, self.partition)
+            self._node_links, self._comm_links = self._count_links()
 
     # ----- bookkeeping helpers -------------------------------------------
 
@@ -174,7 +192,14 @@ class SurpriseState:
         comm_links.pop()
 
     def _relocate(self, node: int, src: int, dst: int) -> None:
-        """Move one node from src to dst, updating both link tables in O(deg)."""
+        """Move one node from src to dst, updating both link tables.
+
+        The neighbours' rows of _node_links change once per edge.  The cross
+        links change once per community the node links into: its k links
+        into a community cn now join dst, not src, to cn.  Those (cn, k) are
+        _node_links[node], which the neighbour loop leaves as it was: the
+        graph has no self-loops, so node is never its own neighbour.
+        """
         p = self.partition
         node_links, comm_links = self._node_links, self._comm_links
         src_links, dst_links = comm_links[src], comm_links[dst]
@@ -185,17 +210,16 @@ class SurpriseState:
             else:
                 counts[src] -= 1
             counts[dst] = counts.get(dst, 0) + 1
-            # the edge (node, nb) now joins dst, not src, to nb's community
-            cn = p.assign[nb]
+        for cn, k in node_links[node].items():
             if cn != src:
-                if src_links[cn] == 1:
+                if src_links[cn] == k:
                     del src_links[cn], comm_links[cn][src]
                 else:
-                    src_links[cn] -= 1
-                    comm_links[cn][src] -= 1
+                    src_links[cn] -= k
+                    comm_links[cn][src] -= k
             if cn != dst:
-                dst_links[cn] = dst_links.get(cn, 0) + 1
-                comm_links[cn][dst] = comm_links[cn].get(dst, 0) + 1
+                dst_links[cn] = dst_links.get(cn, 0) + k
+                comm_links[cn][dst] = comm_links[cn].get(dst, 0) + k
         p.comms[src].discard(node)
         p.comms[dst].add(node)
         p.assign[node] = dst

@@ -349,6 +349,40 @@ class TestLandscape:
         assert not walk_out.exists()
 
 
+class TestValueFiles:
+    """mle --samples and landscape walk --values refuse a file with no
+    numbers, or a non-finite one, in one line that names the file."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "no numbers"), (" \n\t\n", "no numbers"), ("1\nnan\n3\n", "nan"), ("1\ninf\n3\n", "inf")],
+        ids=["empty", "whitespace", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("command", ["mle", "walk"])
+    def test_refused_in_one_line(self, capsys, recwarn, tmp_path, command, text, message):
+        from surpkit.embedding import save_distance_matrix
+
+        path = tmp_path / "numbers.txt"
+        path.write_text(text)
+        walk_out = tmp_path / "walk.csv"
+        if command == "mle":
+            argv = ["mle", "--samples", str(path)]
+        else:
+            dist = tmp_path / "dist.txt"
+            save_distance_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]), dist)
+            argv = [
+                "landscape", "walk", "--values", str(path), "--dist", str(dist),
+                "--top", "2", "--out", str(walk_out),
+            ]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert message in err
+        assert not recwarn.list
+        assert not walk_out.exists()
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         edges = tmp_path / "toy.edges"

@@ -93,7 +93,14 @@ class TestQueries:
         assert order == sorted(nodes)
         index = {u: i for i, u in enumerate(order)}
         filtered = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-        assert sub == Graph(len(order), filtered)
+        ref = Graph(len(order), filtered)
+        assert sub == ref
+        assert (sub.adj, sub.n, sub.F) == (ref.adj, ref.n, ref.F)
+
+    @pytest.mark.parametrize("nodes", [set(), [], {0, 11}, {-1, 2}, [3, 4, 11]])
+    def test_subgraph_refuses_bad_node_sets(self, toy, nodes):
+        with pytest.raises(ValueError):
+            toy.subgraph(nodes)
 
 
 class TestIO:

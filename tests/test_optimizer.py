@@ -315,12 +315,14 @@ def apply_move(state, move):
 def apply_every_move(g, p):
     """Apply each legal move to a fresh state and recount M, ell and the link tables after it.
 
-    Returns the labels of the bookkeeping cases met: a merge that renumbers
-    the last community, and a sub-community extraction that appends an id.
+    ``p`` None starts every state from singletons.  Returns the labels of
+    the bookkeeping cases met: a merge that renumbers the last community,
+    and a sub-community extraction that appends an id.
     """
     cases = set()
-    for move, _ in SurpriseState(g, p).check_deltas():
-        if move[0] == "merge" and move[2] != p.Nc - 1:
+    start = SurpriseState(g, p)
+    for move, _ in start.check_deltas():
+        if move[0] == "merge" and move[2] != start.partition.Nc - 1:
             cases.add("renumbering merge")
         if move[0] == "sub_extract":
             cases.add("appending sub_extract")
@@ -786,6 +788,23 @@ class TestLinkTables:
     @given(graphs_with_partitions())
     def test_recount_after_every_move(self, gp):
         apply_every_move(*gp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            random_graphs(min_k=2),
+            st.integers(1, 10).map(lambda K: Graph(K, [])),
+            st.integers(1, 10).map(lambda K: Graph(K, combinations(range(K), 2))),
+        )
+    )
+    def test_singleton_start_reads_the_adjacency(self, g):
+        state = SurpriseState(g)
+        assert_tables_recounted(state)
+        M, ell, S = partition_stats(g, Partition.singletons(g.K))
+        assert (state.M, state.ell, state.S.hex()) == (M, ell, S.hex()) == (0, 0, (0.0).hex())
+        assert state.verify()
+        # the two tables share no row: moves from this start keep both exact
+        apply_every_move(g, None)
 
     def test_recount_covers_renumbering_and_new_ids(self, toy):
         p = Partition.from_communities([[0, 1, 2, 3, 8, 9], [4, 5, 6, 7], [10]])
