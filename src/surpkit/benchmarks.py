@@ -161,16 +161,6 @@ class BenchmarkNet:
     def graph(self) -> Graph:
         return Graph(self.K, self.edges)
 
-    def _add(self, u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        self.edges.add((u, v))
-
-    def _remove(self, u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        self.edges.discard((u, v))
-
     def degrade_p(self, p_fn: ProbOfSize | float) -> int:
         """Remove each current intra-clique edge with probability p(c_i).
 

@@ -12,6 +12,7 @@ import argparse
 import sys
 import warnings
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -143,38 +144,54 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _load_values(path, discrete: bool = False) -> np.ndarray:
-    """The numbers in a text file: at least one, all finite, and integers
-    when ``discrete``.  Every refusal is one line that names the path."""
+@contextmanager
+def _naming(path):
+    """Prefix a ValueError raised in the block with the file it is about."""
     try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_values(path, discrete: bool = False) -> np.ndarray:
+    """The numbers in a text file: at least one, one row or one column, all
+    finite, and integers when ``discrete``.  Every refusal is one line that
+    names the path."""
+    with _naming(path):
         with warnings.catch_warnings():
             # loadtxt warns on a file with no numbers; the size check says so
             warnings.simplefilter("ignore", UserWarning)
             values = np.loadtxt(path, ndmin=1)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if values.size == 0:
-        raise ValueError(f"{path}: no numbers in the file")
-    if discrete:
-        bad = values[~np.isfinite(values) | (values != np.floor(values))]
-        if bad.size:
-            raise ValueError(f"{path}: discrete sample {float(bad[0])!r} is not an integer")
-    else:
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            raise ValueError(f"{path}: value {float(bad[0])!r} is not finite")
+        if values.size == 0:
+            raise ValueError("no numbers in the file")
+        if values.ndim > 1:
+            rows, cols = values.shape
+            raise ValueError(f"{rows} rows of {cols} numbers; one row or one column required")
+        if discrete:
+            bad = values[~np.isfinite(values) | (values != np.floor(values))]
+            if bad.size:
+                raise ValueError(f"discrete sample {float(bad[0])!r} is not an integer")
+        else:
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise ValueError(f"value {float(bad[0])!r} is not finite")
     return values
 
 
 def cmd_mle(args) -> int:
+    # checked before the samples: a refusal below names the file
+    if not 0 < args.x0 < np.inf or (args.discrete and args.x0 != int(args.x0)):
+        kind = "integer" if args.discrete else "number"
+        raise ValueError(f"--x0 must be a positive {kind}, got {args.x0}")
     samples = _load_values(args.samples, args.discrete)
-    if args.discrete:
-        samples = samples.astype(int)
-        gamma = gamma_mle_discrete(samples, int(args.x0))
-        ll = lnL_discrete(gamma, samples, int(args.x0))
-    else:
-        gamma = gamma_mle_continuous(samples, args.x0)
-        ll = lnL_continuous(gamma, samples, args.x0)
+    with _naming(args.samples):
+        if args.discrete:
+            samples = samples.astype(int)
+            gamma = gamma_mle_discrete(samples, int(args.x0))
+            ll = lnL_discrete(gamma, samples, int(args.x0))
+        else:
+            gamma = gamma_mle_continuous(samples, args.x0)
+            ll = lnL_continuous(gamma, samples, args.x0)
     _print_kv(gamma=f"{gamma:.8f}", lnL=f"{ll:.6f}", N=samples.size)
     return 0
 
@@ -193,7 +210,11 @@ def cmd_landscape_embed(args) -> int:
 def cmd_landscape_walk(args) -> int:
     D = load_distance_matrix(args.dist)
     values = _load_values(args.values)
-    walk = peak_walk(values, D, args.top)
+    if not 1 <= args.top <= D.shape[0]:
+        raise ValueError(f"--top must be in [1, {D.shape[0]}], got {args.top}")
+    # D is valid and --top in range, so what peak_walk refuses is the values
+    with _naming(args.values):
+        walk = peak_walk(values, D, args.top)
     with open(args.out, "w") as fh:
         fh.write("cum_distance,height\n")
         for cum, height in walk:

@@ -232,7 +232,10 @@ def load_distance_matrix(path) -> np.ndarray:
             entries.append(float(tok))
         except ValueError:
             raise ValueError(f"{path}: matrix entry {tok!r} is not a number") from None
-    return _validate_D(np.array(entries).reshape(N, N))
+    try:
+        return _validate_D(np.array(entries).reshape(N, N))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_distance_matrix(D: np.ndarray, path) -> None:

@@ -16,17 +16,17 @@ counts; when b nodes leave a community of c nodes for one of t nodes
 moves the whole of cB into cA, an exchange or extraction moves one node,
 and the sub-community moves move one block.
 
-Link counts are kept incrementally: every node's links into each
-community and every pair of communities' cross links, updated by each
-applied move, so the deltas of merges and single-node moves are lookups.
-A state that starts from singletons, as stepper() and every
-sub-community search do, reads both tables straight from the adjacency
-(node u's community is u) with M = ell = 0; a state given a partition
-counts them over every edge.
+Link counts are kept incrementally in one table: every node's links
+into each community, updated by each applied move, so the delta of a
+single-node move is two lookups and that of a merge is a sum over the
+smaller community's members.  A state that starts from singletons, as
+stepper() and every sub-community search do, reads the table straight
+from the adjacency (node u's community is u) with M = ell = 0; a state
+given a partition counts it over every edge.
 
 The greedy loop does not repeat a merge or an exchange it has seen
 rejected since the last applied move.  This is exact: a merge of cA and
-cB has dM = sA*sB and dell = the cross links of the pair, both symmetric
+cB has dM = sA*sB and dell = the edges between the pair, both symmetric
 in the pair, and an exchange's delta depends only on the node, its
 community and the target.  Until a move is applied none of these
 changes, so a repeated call would price the same (M, ell) and be
@@ -120,27 +120,24 @@ class SurpriseState:
         self._plans: dict[int, list[_SubBlock]] = {}
         # merges and exchanges stepper() saw rejected since the last applied move
         self._rejected: set[tuple] = set()
-        # links of each node into each community, and cross links between
-        # each pair of communities; zero counts are dropped
+        # links of each node into each community; zero counts are dropped
         if partition is None:
             # singletons: community u is {u}, so node u has one link into
-            # each neighbour's community, and so has community u.  M = ell
-            # = 0, and surprise(F, 0, n, 0) is exactly 0.0: lt0's first
-            # bracket is t(0) - t(0) - t(0) = 0.0, its other two are the
-            # same three table reads t(F) - t(n) - t(F - n) in the same
-            # order and cancel exactly, and the term loop is empty because
-            # min(0, n) = 0
+            # each neighbour's community.  M = ell = 0, and surprise(F, 0,
+            # n, 0) is exactly 0.0: lt0's first bracket is t(0) - t(0) -
+            # t(0) = 0.0, its other two are the same three table reads t(F)
+            # - t(n) - t(F - n) in the same order and cancel exactly, and
+            # the term loop is empty because min(0, n) = 0
             self.partition = Partition.singletons(graph.K)
             self.M, self.ell = 0, 0
             self.S = surprise(graph.F, 0, graph.n, 0)
             self._node_links = [dict.fromkeys(nbs, 1) for nbs in graph.adj]
-            self._comm_links = [dict.fromkeys(nbs, 1) for nbs in graph.adj]
         else:
             if partition.K != graph.K:
                 raise ValueError("partition size does not match graph")
             self.partition = partition.copy()
             self.M, self.ell, self.S = partition_stats(graph, self.partition)
-            self._node_links, self._comm_links = self._count_links()
+            self._node_links = self._count_links()
 
     # ----- bookkeeping helpers -------------------------------------------
 
@@ -155,31 +152,23 @@ class SurpriseState:
         if not (0 <= cid < Nc):
             raise ValueError(f"community id {cid} out of range [0, {Nc})")
 
-    def _count_links(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-        """Node-to-community and community-to-community link counts, from scratch."""
+    def _count_links(self) -> list[dict[int, int]]:
+        """Each node's link counts into each community, from scratch."""
         assign = self.partition.assign
         node_links: list[dict[int, int]] = [{} for _ in range(self.graph.K)]
-        comm_links: list[dict[int, int]] = [{} for _ in range(self.partition.Nc)]
         for u, nbs in enumerate(self.graph.adj):
-            cu = assign[u]
             counts = node_links[u]
             for nb in nbs:
                 cn = assign[nb]
                 counts[cn] = counts.get(cn, 0) + 1
-                if cn != cu:
-                    comm_links[cu][cn] = comm_links[cu].get(cn, 0) + 1
-        return node_links, comm_links
+        return node_links
 
     def _remove_comm(self, cid: int) -> None:
         """Drop an emptied community slot, keeping ids dense (swap with last)."""
         p = self.partition
         last = p.Nc - 1
-        comm_links = self._comm_links
         if cid != last:
             p.comms[cid] = p.comms[last]
-            comm_links[cid] = comm_links[last]
-            for other in comm_links[cid]:
-                comm_links[other][cid] = comm_links[other].pop(last)
             node_links = self._node_links
             adj = self.graph.adj
             for node in p.comms[cid]:
@@ -189,20 +178,16 @@ class SurpriseState:
                     if last in counts:
                         counts[cid] = counts.pop(last)
         p.comms.pop()
-        comm_links.pop()
 
     def _relocate(self, node: int, src: int, dst: int) -> None:
-        """Move one node from src to dst, updating both link tables.
+        """Move one node from src to dst, updating the link table.
 
-        The neighbours' rows of _node_links change once per edge.  The cross
-        links change once per community the node links into: its k links
-        into a community cn now join dst, not src, to cn.  Those (cn, k) are
-        _node_links[node], which the neighbour loop leaves as it was: the
-        graph has no self-loops, so node is never its own neighbour.
+        Each neighbour's row loses one link into src and gains one into
+        dst.  The node's own row is unchanged: it counts the communities of
+        its neighbours, and the graph has no self-loops.
         """
         p = self.partition
-        node_links, comm_links = self._node_links, self._comm_links
-        src_links, dst_links = comm_links[src], comm_links[dst]
+        node_links = self._node_links
         for nb in self.graph.adj[node]:
             counts = node_links[nb]
             if counts[src] == 1:
@@ -210,16 +195,6 @@ class SurpriseState:
             else:
                 counts[src] -= 1
             counts[dst] = counts.get(dst, 0) + 1
-        for cn, k in node_links[node].items():
-            if cn != src:
-                if src_links[cn] == k:
-                    del src_links[cn], comm_links[cn][src]
-                else:
-                    src_links[cn] -= k
-                    comm_links[cn][src] -= k
-            if cn != dst:
-                dst_links[cn] = dst_links.get(cn, 0) + k
-                comm_links[cn][dst] = comm_links[cn].get(dst, 0) + k
         p.comms[src].discard(node)
         p.comms[dst].add(node)
         p.assign[node] = dst
@@ -236,18 +211,26 @@ class SurpriseState:
         C(t, 2) = b*(t + b - c).
         The links change by the nodes' links into dst, minus their links
         into src, plus twice the edges inside the moved set (counted among
-        the links into src, but they stay intracommunity).  A whole
-        community (a merge) gains exactly its cross links with dst.  No
-        table holds the key None, so the links into a new community read 0.
+        the links into src, but they stay intracommunity).  No row holds
+        the key None, so the links into a new community read 0.
+
+        A whole community moved into another (a merge) gains exactly the
+        edges between the two, and that count is read from the smaller of
+        them: the sum of its members' links into the other.  Either side
+        gives the same int, since each edge between the pair is counted
+        once in the row of its endpoint on the summed side, so (dM, dell),
+        the memo key and every decision are the same whichever side is
+        read.  The smaller side costs min(c, t) lookups.
         """
         comms = self.partition.comms
         b = len(nodes)
         c = len(comms[src])
         t = 0 if dst is None else len(comms[dst])
         dM = b * (t + b - c)
-        if b == c:
-            return dM, self._comm_links[src].get(dst, 0)
         node_links = self._node_links
+        if b == c and dst is not None:
+            side, other = (nodes, dst) if c <= t else (comms[dst], src)
+            return dM, sum(node_links[u].get(other, 0) for u in side)
         if b == 1:
             (u,) = nodes
             links = node_links[u]
@@ -264,7 +247,6 @@ class SurpriseState:
         p = self.partition
         if dst is None:
             p.comms.append(set())
-            self._comm_links.append({})
             dst = p.Nc - 1
         # a copy: nodes may be the community set itself (a merge)
         for node in list(nodes):
@@ -730,7 +712,7 @@ class SurpriseState:
         return out
 
     def verify(self) -> bool:
-        """True iff the cached M, ell, S and link tables match a from-scratch recomputation."""
+        """True iff the cached M, ell, S and link table match a from-scratch recomputation."""
         p = self.partition
         if p.assign and p.Nc != max(p.assign) + 1:
             return False
@@ -741,7 +723,7 @@ class SurpriseState:
                 return False
         if sum(len(c) for c in p.comms) != self.graph.K:
             return False
-        if (self._node_links, self._comm_links) != self._count_links():
+        if self._node_links != self._count_links():
             return False
         M, ell, S = partition_stats(self.graph, p)
         return M == self.M and ell == self.ell and abs(S - self.S) < 1e-9

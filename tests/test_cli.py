@@ -288,6 +288,9 @@ class TestLandscape:
             ("0\n", "must not be empty"),
             ("2\n0 nan\nnan 0\n", "must be finite"),
             ("2\n0 inf\ninf 0\n", "must be finite"),
+            ("2\n0 1\n2 0\n", "must be symmetric"),
+            ("2\n1 1\n1 0\n", "must have a zero diagonal"),
+            ("2\n0 -1\n-1 0\n", "must be non-negative"),
         ],
     )
     def test_broken_matrix_fails(self, capsys, tmp_path, text, message):
@@ -297,7 +300,7 @@ class TestLandscape:
         code = main(["landscape", "embed", "--dist", str(dist), "--out", str(coords_out)])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {dist}: ") and err.count("\n") == 1
         assert message in err
         assert not coords_out.exists()
 
@@ -355,8 +358,15 @@ class TestValueFiles:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("", "no numbers"), (" \n\t\n", "no numbers"), ("1\nnan\n3\n", "nan"), ("1\ninf\n3\n", "inf")],
-        ids=["empty", "whitespace", "nan", "inf"],
+        [
+            ("", "no numbers"),
+            (" \n\t\n", "no numbers"),
+            ("1\nnan\n3\n", "nan"),
+            ("1\ninf\n3\n", "inf"),
+            # loadtxt reads this as a 2 x 2 array, which used to pass as 4 samples
+            ("1 2\n3 4\n", "2 rows of 2 numbers; one row or one column required"),
+        ],
+        ids=["empty", "whitespace", "nan", "inf", "two-columns"],
     )
     @pytest.mark.parametrize("command", ["mle", "walk"])
     def test_refused_in_one_line(self, capsys, recwarn, tmp_path, command, text, message):
@@ -380,6 +390,79 @@ class TestValueFiles:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert message in err
         assert not recwarn.list
+        assert not walk_out.exists()
+
+
+    @pytest.mark.parametrize("text", ["2 3 4\n", "2\n3\n4\n"], ids=["row", "column"])
+    def test_one_row_or_one_column_accepted(self, capsys, tmp_path, text):
+        path = tmp_path / "samples.txt"
+        path.write_text(text)
+        code, out = run(capsys, "mle", "--samples", path)
+        assert code == 0 and "N=3" in out
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("2\n", [], "need at least 2 samples"),
+            ("0.5 2 3\n", [], "samples below the support start 1.0"),
+            ("2\n", ["--discrete"], "need at least 2 samples"),
+            ("0 2 3\n", ["--discrete"], "samples below the support start 1"),
+        ],
+        ids=["one-sample", "below-x0", "discrete-one-sample", "discrete-below-x0"],
+    )
+    def test_mle_refusal_names_the_file(self, capsys, tmp_path, text, flags, message):
+        path = tmp_path / "samples.txt"
+        path.write_text(text)
+        code = main(["mle", "--samples", str(path), *flags])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "x0, flags, message",
+        [
+            ("0", [], "positive number, got 0.0"),
+            ("-1", [], "positive number, got -1.0"),
+            ("nan", [], "positive number, got nan"),
+            ("inf", [], "positive number, got inf"),
+            ("0", ["--discrete"], "positive integer, got 0.0"),
+            ("2.5", ["--discrete"], "positive integer, got 2.5"),
+        ],
+    )
+    def test_bad_x0_names_the_flag(self, capsys, recwarn, tmp_path, x0, flags, message):
+        # --x0 0 used to print numpy's divide-by-zero warning and "math
+        # domain error", and --x0 nan printed gamma=nan with exit status 0
+        path = tmp_path / "samples.txt"
+        path.write_text("2\n3\n4\n")
+        code = main(["mle", "--samples", str(path), f"--x0={x0}", *flags])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: --x0 must be a {message}\n"
+        assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "text, top, names_values, message",
+        [
+            ("0\n1\n", 2, True, "one value per distance-matrix row required"),
+            ("0\n1\n2\n", 4, False, "--top must be in [1, 3], got 4"),
+        ],
+        ids=["value-count", "top-out-of-range"],
+    )
+    def test_walk_refusal_names_its_source(self, capsys, tmp_path, text, top, names_values, message):
+        from surpkit.embedding import save_distance_matrix
+
+        dist = tmp_path / "dist.txt"
+        save_distance_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]), dist)
+        values = tmp_path / "values.txt"
+        values.write_text(text)
+        walk_out = tmp_path / "walk.csv"
+        code = main([
+            "landscape", "walk", "--values", str(values), "--dist", str(dist),
+            "--top", str(top), "--out", str(walk_out),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == (f"error: {values}: {message}\n" if names_values else f"error: {message}\n")
         assert not walk_out.exists()
 
 

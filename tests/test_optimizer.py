@@ -295,7 +295,7 @@ def recursion_everywhere():
 
 
 def assert_tables_recounted(state):
-    assert (state._node_links, state._comm_links) == state._count_links()
+    assert state._node_links == state._count_links()
 
 
 def apply_move(state, move):
@@ -803,8 +803,20 @@ class TestLinkTables:
         M, ell, S = partition_stats(g, Partition.singletons(g.K))
         assert (state.M, state.ell, state.S.hex()) == (M, ell, S.hex()) == (0, 0, (0.0).hex())
         assert state.verify()
-        # the two tables share no row: moves from this start keep both exact
+        # every node has a row of its own: moves from this start keep it exact
         apply_every_move(g, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions())
+    def test_merge_links_read_from_either_side(self, gp):
+        g, p = gp
+        state = SurpriseState(g, p)
+        assign, comms = state.partition.assign, state.partition.comms
+        for cA, cB in combinations(range(state.partition.Nc), 2):
+            between = sum(1 for u, v in g.edges if {assign[u], assign[v]} == {cA, cB})
+            # both directions read the smaller community, once as the moved
+            # side and once as the target; equal sizes read each side once
+            assert state._delta(comms[cB], cB, cA)[1] == state._delta(comms[cA], cA, cB)[1] == between
 
     def test_recount_covers_renumbering_and_new_ids(self, toy):
         p = Partition.from_communities([[0, 1, 2, 3, 8, 9], [4, 5, 6, 7], [10]])
@@ -946,10 +958,10 @@ class TestCheckDeltasAndVerify:
         state._node_links[0][0] += 1
         assert not state.verify()
         state = SurpriseState(toy, truth)
-        state._comm_links[0][2] += 1
+        state._node_links[3][2] += 1  # node 3's one link out, to node 8
         assert not state.verify()
         state = SurpriseState(toy, truth)
-        state._comm_links[0][1] = 0  # a zero count must be dropped
+        state._node_links[0][2] = 0  # a zero count must be dropped
         assert not state.verify()
 
     @settings(max_examples=5, deadline=None)
