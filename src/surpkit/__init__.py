@@ -15,7 +15,8 @@ The package is organized as a small numerical library:
 
 from surpkit.graph import Graph, load_edge_list, save_edge_list
 from surpkit.partition import Partition, load_partition, save_partition
-from surpkit.surprise import ln_factorial, ln_choose, surprise, partition_stats
+# the kernel function is not re-exported: surpkit.surprise is the module
+from surpkit.surprise import ln_factorial, ln_choose, partition_stats
 from surpkit.optimizer import SurpriseState, MoveOutcome
 from surpkit.metrics import vi, pielou, modularity, fragmentation, FragmentationReport
 
@@ -28,7 +29,6 @@ __all__ = [
     "save_partition",
     "ln_factorial",
     "ln_choose",
-    "surprise",
     "partition_stats",
     "SurpriseState",
     "MoveOutcome",

@@ -48,12 +48,28 @@ def _print_kv(**kv) -> None:
     print(" ".join(f"{k}={v}" for k, v in kv.items()))
 
 
+@contextmanager
+def _naming(path, error=ValueError):
+    """Prefix an ``error`` raised in the block with the file it is about."""
+    try:
+        yield
+    except error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read(load, path):
+    """load(path).  The loaders name the file in every refusal of their
+    own, but a file that is not UTF-8 text fails in decoding, unnamed."""
+    with _naming(path, UnicodeDecodeError):
+        return load(path)
+
+
 def cmd_detect(args) -> int:
     if args.anneal_steps < 0:
         raise ValueError(f"--anneal-steps must be >= 0, got {args.anneal_steps}")
     if not args.anneal_T > 0:
         raise ValueError(f"--anneal-T must be positive, got {args.anneal_T}")
-    graph = load_edge_list(args.graph)
+    graph = _read(load_edge_list, args.graph)
     state = SurpriseState(graph, rng=sub_rng(args.seed, "detect"))
     state.stepper()
     if args.anneal_steps > 0:
@@ -78,6 +94,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench_our(args) -> int:
+    for flag, value in (("--p", args.p), ("--q", args.q)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{flag} must be in [0, 1], got {value}")
     target_sum = round(args.nodes * (1.0 - args.r))
     sizes = pielouer_nodes(
         args.ncliques,
@@ -107,7 +126,7 @@ def cmd_bench_our(args) -> int:
 
 
 def cmd_bench_rc(args) -> int:
-    graph = load_edge_list(args.graph)
+    graph = _read(load_edge_list, args.graph)
     degraded = rc_degrade(graph, args.R, rng=sub_rng(args.seed, "bench.rc"))
     save_edge_list(degraded, args.out)
     _print_kv(K=degraded.K, n_before=graph.n, n_after=degraded.n)
@@ -115,25 +134,33 @@ def cmd_bench_rc(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # each measure's refusal of valid files is a node-count mismatch, named
+    # after the second file, or modularity's refusal of an edgeless graph
     if args.kind == "vi":
-        print(f"{vi(load_partition(args.a), load_partition(args.b), args.normalized):.9f}")
+        a, b = _read(load_partition, args.a), _read(load_partition, args.b)
+        with _naming(args.b):
+            text = f"{vi(a, b, args.normalized):.9f}"
     elif args.kind == "pielou":
-        print(f"{pielou(load_partition(args.partition).sizes):.9f}")
+        text = f"{pielou(_read(load_partition, args.partition).sizes):.9f}"
     elif args.kind == "frag":
-        report = fragmentation(load_partition(args.initial), load_partition(args.found))
-        print(report.as_csv())
-    elif args.kind == "surprise":
-        graph = load_edge_list(args.graph)
-        _, _, S = partition_stats(graph, load_partition(args.partition))
-        print(f"{S:.9f}")
-    elif args.kind == "modularity":
-        graph = load_edge_list(args.graph)
-        print(f"{modularity(graph, load_partition(args.partition)):.9f}")
+        initial, found = _read(load_partition, args.initial), _read(load_partition, args.found)
+        with _naming(args.found):
+            text = fragmentation(initial, found).as_csv()
+    else:
+        graph = _read(load_edge_list, args.graph)
+        partition = _read(load_partition, args.partition)
+        if args.kind == "surprise":
+            with _naming(args.partition):
+                text = f"{partition_stats(graph, partition)[2]:.9f}"
+        else:
+            with _naming(args.graph if graph.n == 0 else args.partition):
+                text = f"{modularity(graph, partition):.9f}"
+    print(text)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    graph = load_edge_list(args.graph)
+    graph = _read(load_edge_list, args.graph)
     if args.quality == "surprise":
         best, argmax = best_surprise_partitions(graph)
     else:
@@ -142,15 +169,6 @@ def cmd_oracle(args) -> int:
     for p in argmax:
         print(" ".join(str(c) for c in p.assign))
     return 0
-
-
-@contextmanager
-def _naming(path):
-    """Prefix a ValueError raised in the block with the file it is about."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_values(path, discrete: bool = False) -> np.ndarray:
@@ -197,7 +215,7 @@ def cmd_mle(args) -> int:
 
 
 def cmd_landscape_embed(args) -> int:
-    D = load_distance_matrix(args.dist)
+    D = _read(load_distance_matrix, args.dist)
     config = EmbeddingConfig(gamma_exp=args.gamma, d_lim=args.dlim)
     coords, chi2, gnorm, reason = embed(D, config, rng=sub_rng(args.seed, "embed"))
     with open(args.out, "w") as fh:
@@ -208,7 +226,7 @@ def cmd_landscape_embed(args) -> int:
 
 
 def cmd_landscape_walk(args) -> int:
-    D = load_distance_matrix(args.dist)
+    D = _read(load_distance_matrix, args.dist)
     values = _load_values(args.values)
     if not 1 <= args.top <= D.shape[0]:
         raise ValueError(f"--top must be in [1, {D.shape[0]}], got {args.top}")

@@ -54,8 +54,11 @@ class EmbeddingConfig:
     stall_limit: int = 5000
 
     def __post_init__(self):
-        if self.d_lim <= 0.0:
-            raise ValueError("distance cutoff must be positive")
+        # +inf is a valid cut-off (none); NaN fails both tests
+        if not self.d_lim > 0.0:
+            raise ValueError(f"distance cutoff must be positive, got {self.d_lim}")
+        if not math.isfinite(self.gamma_exp):
+            raise ValueError(f"weight exponent must be finite, got {self.gamma_exp}")
         if self.lamb <= 0.0:
             raise ValueError("initial step scale must be positive")
 

@@ -318,6 +318,13 @@ class SurpriseState:
         order.  That order matters: _anneal_propose draws a block by index.
         stepper() draws nothing from the rng, so skipping it leaves the rng
         stream as it was.
+
+        For c >= 2 the result has at least two blocks, none of them the
+        whole community, so _plan and _anneal_propose filter nothing out.
+        The closed form returns c singletons.  The recursion starts from
+        singletons with S = 0.0 and accepts only moves that raise S by more
+        than TIE_EPS, while the all-in-one partition has S exactly 0.0: lt0
+        = a + 0.0 - a and the term loop is empty.
         """
         self._check_comm(cid)
         members = self.partition.comms[cid]
@@ -347,17 +354,15 @@ class SurpriseState:
 
         Built once per community and state: the sub_extract call and the
         Nc sub_exchange calls that stepper() makes for one community share
-        it, and every applied move drops it.
+        it, and every applied move drops it.  Every caller asks for c >= 2
+        nodes, so the plan has at least two blocks (see subcommunities()).
         """
         plan = self._plans.get(cid)
         if plan is not None:
             return plan
         node_links = self._node_links
-        c = len(self.partition.comms[cid])
         plan = []
         for sub in sorted(self.subcommunities(cid), key=min):
-            if len(sub) == c:
-                continue  # the whole community: a merge, not a split
             dM, dell = self._delta(sub, cid, None)
             links: dict[int, int] = {}
             for u in sub:
@@ -373,29 +378,33 @@ class SurpriseState:
         self._check_comm(cid)
         if len(self.partition.comms[cid]) < 2:
             raise ValueError("community too small for sub-community extraction")
-        best_dS = -math.inf
-        for blk in self._plan(cid):
-            dS = blk.S_extract - self.S
-            if dS > TIE_EPS:
-                self._move(blk.nodes, cid, None, blk.dM, blk.dell, blk.S_extract)
-                return MoveOutcome(True, dS, "sub_extract")
-            best_dS = max(best_dS, dS)
-        return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_extract")
+        return self._block_scan("sub_extract", cid, None)
 
     def sub_exchange(self, cid: int, cTo: int) -> MoveOutcome:
-        """Relocate a sub-community wholesale into cTo when that raises the surprise.
+        """Relocate a sub-community wholesale into cTo when that raises the surprise."""
+        self._check_comm(cid)
+        self._check_comm(cTo)
+        if len(self.partition.comms[cid]) < 2:
+            raise ValueError("community too small for sub-community exchange")
+        if cTo == cid:
+            return MoveOutcome(False, 0.0, "sub_exchange")
+        return self._block_scan("sub_exchange", cid, cTo)
 
-        Blocks are tried in ascending order of their smallest node and the
-        first that raises S by more than TIE_EPS is applied.  A block B with
-        no link into cTo is skipped, unpriced, when extracting it does not
-        raise S by more than TIE_EPS; it could not have been applied.
-        Moving B (b nodes) into a community T (t nodes) that it has no links
-        to adds no intracommunity link, so ell changes exactly as when B is
-        extracted, while M grows by t*b >= 1 more (see _SubBlock).  At
-        fixed ell the hypergeometric upper tail P(X >= ell) does not
-        decrease as M grows, so S = -ln P does not increase: the move into
-        T is no better than extraction.  The first applied block is
-        therefore the one a full scan in the same order applies.  That
+    def _block_scan(self, kind: str, cid: int, dst: int | None) -> MoveOutcome:
+        """Apply the first block of cid's plan whose move into dst raises S by more than TIE_EPS.
+
+        ``dst`` None means a new community.  A block B with no link into
+        dst is skipped, unpriced, when extracting it does not raise S by
+        more than TIE_EPS; it could not have been applied.  No block links
+        to None, so extraction skips every block that does not clear, and
+        prices one that does at the (M, ell) _plan priced: a memo hit.
+        Moving B (b nodes) into a community T (t nodes) that it has no
+        links to adds no intracommunity link, so ell changes exactly as
+        when B is extracted, while M grows by t*b >= 1 more (see
+        _SubBlock).  At fixed ell the hypergeometric upper tail P(X >= ell)
+        does not decrease as M grows, so S = -ln P does not increase: the
+        move into T is no better than extraction.  The first applied block
+        is therefore the one a full scan in the same order applies.  That
         holds in exact arithmetic; in floating point the kernel can put a
         move that ties extraction a few ulps above it, so a skipped block
         could only ever differ where both deltaS lie within the kernel's
@@ -403,31 +412,23 @@ class SurpriseState:
 
         On rejection, deltaS is an upper bound on the best block's deltaS
         (up to that rounding), not always the exact value: a skipped block
-        contributes its extraction deltaS.  check_deltas() prices every
-        block exactly.
+        contributes its extraction deltaS.  It is finite, as the plan is
+        never empty.  check_deltas() prices every block exactly.
         """
-        self._check_comm(cid)
-        self._check_comm(cTo)
-        if len(self.partition.comms[cid]) < 2:
-            raise ValueError("community too small for sub-community exchange")
-        if cTo == cid:
-            return MoveOutcome(False, 0.0, "sub_exchange")
-        t = len(self.partition.comms[cTo])
+        t = 0 if dst is None else len(self.partition.comms[dst])
         best_dS = -math.inf
         for blk in self._plan(cid):
             dS = blk.S_extract - self.S
-            if cTo not in blk.links and dS <= TIE_EPS:
-                best_dS = max(best_dS, dS)  # extraction bounds the move into cTo
-                continue
-            dM = blk.dM + t * len(blk.nodes)
-            dell = blk.dell + blk.links.get(cTo, 0)
-            S_new = self._S_at(self.M + dM, self.ell + dell)
-            dS = S_new - self.S
-            if dS > TIE_EPS:
-                self._move(blk.nodes, cid, cTo, dM, dell, S_new)
-                return MoveOutcome(True, dS, "sub_exchange")
-            best_dS = max(best_dS, dS)
-        return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_exchange")
+            if dst in blk.links or dS > TIE_EPS:
+                dM = blk.dM + t * len(blk.nodes)
+                dell = blk.dell + blk.links.get(dst, 0)
+                S_new = self._S_at(self.M + dM, self.ell + dell)
+                dS = S_new - self.S
+                if dS > TIE_EPS:
+                    self._move(blk.nodes, cid, dst, dM, dell, S_new)
+                    return MoveOutcome(True, dS, kind)
+            best_dS = max(best_dS, dS)  # a skipped block's is its extraction's
+        return MoveOutcome(False, best_dS, kind)
 
     def _sub_targets(self, ci: int) -> list[int]:
         """The communities stepper() offers ci's plan to, in ascending order.
@@ -463,6 +464,11 @@ class SurpriseState:
         was accepted.  A merge or exchange already rejected since the last
         applied move is not tried again (see the module docstring).
 
+        Each member of the snapshot sorted(p.comms[ci]) is still in ci at
+        its turn: a merge brings cj into ci (re-read after a renumbering),
+        exchange(node, cj) moves only the member being visited, which then
+        ends its turn, and exchange(nb, ci) brings nb in without emptying cj.
+
         Two kinds of call are left out because their outcome is already
         known: every pricing skipped has the same (dM, dell) as a move
         already priced and rejected in the current state, or its block is
@@ -489,7 +495,7 @@ class SurpriseState:
         When some block's extraction raises S by more than TIE_EPS, that
         block is priced for every target, and every other community is
         listed.  Otherwise sub_exchange skips, unpriced, every block with
-        no link into cj (see its docstring).  A singleton block {u} moved
+        no link into cj (see _block_scan()).  A singleton block {u} moved
         out of ci (c nodes) into cj (t nodes) has dM = t + 1 - c and dell =
         u's links into cj minus its links into ci, the (dM, dell) of
         exchange(u, cj).  When that exchange is in _rejected, it was priced
@@ -502,15 +508,12 @@ class SurpriseState:
         counts = {kind: 0 for kind in MOVE_KINDS}
         p = self.partition
         rejected = self._rejected
-        changed = True
-        while changed:
-            changed = False
+        while True:
+            applied = sum(counts.values())
             ci = 0
             while ci < p.Nc:
                 # merge / exchange driven by the members' neighborhoods
                 for node in sorted(p.comms[ci]):
-                    if p.assign[node] != ci:
-                        continue  # moved away by an earlier accepted move
                     for nb in self.graph.neighbors(node):
                         cj = p.assign[nb]
                         if cj == ci:
@@ -519,37 +522,27 @@ class SurpriseState:
                         if key not in rejected:
                             if self.merge(ci, cj).accepted:
                                 counts["merge"] += 1
-                                changed = True
                                 ci = p.assign[node]
                                 continue
                             rejected.add(key)
-                        moved = False
                         if len(p.comms[ci]) > 1 and ("exchange", node, cj) not in rejected:
                             if self.exchange(node, cj).accepted:
                                 counts["exchange"] += 1
-                                changed = True
-                                moved = True
-                            else:
-                                rejected.add(("exchange", node, cj))
-                        if not moved and len(p.comms[cj]) > 1 and ("exchange", nb, ci) not in rejected:
+                                break  # node left ci; go to the next member
+                            rejected.add(("exchange", node, cj))
+                        if len(p.comms[cj]) > 1 and ("exchange", nb, ci) not in rejected:
                             if self.exchange(nb, ci).accepted:
                                 counts["exchange"] += 1
-                                changed = True
                             else:
                                 rejected.add(("exchange", nb, ci))
-                        if moved:
-                            break  # node left ci; go to the next member
-                # extract to exhaustion
-                success = True
-                while success and len(p.comms[ci]) > 1:
-                    success = False
+                # extract to exhaustion: sweep ci while a sweep extracts a node
+                while len(p.comms[ci]) > 1:
+                    extracted = counts["extract"]
                     for node in sorted(p.comms[ci]):
-                        if len(p.comms[ci]) <= 1:
-                            break
-                        if self.extract(node).accepted:
+                        if len(p.comms[ci]) > 1 and self.extract(node).accepted:
                             counts["extract"] += 1
-                            changed = True
-                            success = True
+                    if counts["extract"] == extracted:
+                        break
                 # sub-community extraction to exhaustion.  While ci keeps two
                 # or more nodes, the extract pass has just ended with a sweep
                 # that rejected every node, and a plan of singleton blocks
@@ -557,12 +550,10 @@ class SurpriseState:
                 if len(p.comms[ci]) > 1 and any(len(blk.nodes) > 1 for blk in self._plan(ci)):
                     while len(p.comms[ci]) > 1 and self.sub_extract(ci).accepted:
                         counts["sub_extract"] += 1
-                        changed = True
                 # sub-community exchanges to exhaustion, over the candidate
                 # targets only
-                success = True
-                while success and len(p.comms[ci]) > 1:
-                    success = False
+                while len(p.comms[ci]) > 1:
+                    exchanged = counts["sub_exchange"]
                     targets = self._sub_targets(ci)
                     k = 0
                     while k < len(targets):
@@ -570,14 +561,15 @@ class SurpriseState:
                         k += 1
                         if self.sub_exchange(ci, cj).accepted:
                             counts["sub_exchange"] += 1
-                            changed = True
-                            success = True
                             if len(p.comms[ci]) < 2:
                                 break
                             targets = self._sub_targets(ci)
                             k = bisect_right(targets, cj)
+                    if counts["sub_exchange"] == exchanged:
+                        break
                 ci += 1
-        return counts
+            if sum(counts.values()) == applied:
+                return counts
 
     def anneal_step(self, T: float) -> int:
         """One Monte-Carlo sweep (K random move proposals) at temperature T.
@@ -618,12 +610,10 @@ class SurpriseState:
                 nodes = (node,)
             else:
                 src = int(rng.integers(p.Nc))
-                c = len(p.comms[src])
-                if c < 2:
+                if len(p.comms[src]) < 2:
                     return False
-                subs = [s for s in self.subcommunities(src) if len(s) < c]
-                if not subs:
-                    return False
+                # at least two blocks, each a proper subset (see subcommunities())
+                subs = self.subcommunities(src)
                 nodes = subs[rng.integers(len(subs))]
             dst = None
             if kind in ("exchange", "sub_exchange"):
@@ -669,6 +659,8 @@ class SurpriseState:
         sub_exchanges = 0
         # a block move never empties its community, so Nc stays fixed
         for ci in range(p.Nc):
+            if len(p.comms[ci]) < 2:
+                continue  # no proper block
             # singleton blocks are the node pass's job; relocating them here
             # would undo exchanges made moments ago
             blocks = [blk.nodes for blk in self._plan(ci) if len(blk.nodes) > 1]

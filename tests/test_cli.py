@@ -26,6 +26,17 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def refusal(capsys, *argv):
+    """Exit status and stderr of a run that must print nothing on stdout."""
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
 class TestDetect:
     def test_toy(self, capsys, tmp_path, toy_edges, toy_surprise_oracle):
         best, _ = toy_surprise_oracle
@@ -78,6 +89,28 @@ class TestDetect:
         assert code == 0
         assert float(dict(kv.split("=") for kv in out.split())["S"]) >= greedy
 
+    def test_anneal_polish_wins(self, capsys, tmp_path):
+        # an instance where the annealed copy, polished by stepper(), ends
+        # above the greedy optimum, so detect reports and writes the copy
+        edges, truth, found = tmp_path / "e.txt", tmp_path / "t.txt", tmp_path / "found.txt"
+        code, _ = run(
+            capsys, "bench", "our", "--ncliques", 4, "--pielou", 0.85, "--nodes", 60,
+            "--r", 0.05, "--p", 0.4, "--q", 0.05, "--seed", 68,
+            "--out-edges", edges, "--out-truth", truth,
+        )
+        assert code == 0
+        code, out = run(capsys, "detect", "--graph", edges, "--seed", 68)
+        greedy = float(dict(kv.split("=") for kv in out.split())["S"])
+        code, out = run(
+            capsys, "detect", "--graph", edges, "--seed", 68,
+            "--anneal-steps", 3, "--anneal-T", 0.05, "--out", found,
+        )
+        assert code == 0
+        polished = float(dict(kv.split("=") for kv in out.split())["S"])
+        assert polished > greedy + 1.0
+        code, out = run(capsys, "eval", "surprise", "--graph", edges, "--partition", found)
+        assert code == 0 and float(out) == pytest.approx(polished, abs=1e-8)
+
     @pytest.mark.parametrize(
         "flags",
         [("--anneal-steps", -5), ("--anneal-T", 0), ("--anneal-T", -0.5), ("--anneal-T", "nan")],
@@ -125,6 +158,37 @@ class TestBench:
         assert dict(kv.split("=") for kv in out.split())["K"] == "40"
         code, out = run(capsys, "eval", "surprise", "--graph", rc, "--partition", truth)
         assert code == 0 and float(out) >= 0.0
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "nan", "--q", "nan"], "--p must be in [0, 1], got nan"),
+            (["--p", "-0.5"], "--p must be in [0, 1], got -0.5"),
+            (["--q", "nan"], "--q must be in [0, 1], got nan"),
+            (["--q", "1.5"], "--q must be in [0, 1], got 1.5"),
+        ],
+    )
+    def test_probability_outside_unit_interval_refused(self, capsys, tmp_path, flags, message):
+        # NaN and negative values used to skip degradation and exit 0
+        edges, truth = tmp_path / "e.txt", tmp_path / "t.txt"
+        code, err = refusal(
+            capsys, "bench", "our", "--ncliques", 4, "--pielou", 0.9, "--nodes", 40, *flags,
+            "--out-edges", edges, "--out-truth", truth,
+        )
+        assert code == 1 and err == f"error: {message}\n"
+        assert not edges.exists() and not truth.exists()
+
+    def test_zero_probabilities_draw_nothing(self, capsys, tmp_path):
+        files = []
+        for tag, flags in (("omitted", []), ("zero", ["--p", 0, "--q", 0])):
+            edges, truth = tmp_path / f"{tag}.edges", tmp_path / f"{tag}.truth"
+            code, _ = run(
+                capsys, "bench", "our", "--ncliques", 4, "--pielou", 0.85, "--nodes", 60,
+                "--r", 0.05, *flags, "--seed", 4, "--out-edges", edges, "--out-truth", truth,
+            )
+            assert code == 0
+            files.append(edges.read_bytes() + truth.read_bytes())
+        assert files[0] == files[1]
 
     def test_reproducible_outputs(self, capsys, tmp_path):
         digests = []
@@ -184,7 +248,55 @@ class TestEval:
         b = tmp_path / "b.txt"
         save_partition(truth, a)
         b.write_text("0\n1\n")
-        assert main(["eval", "vi", "--a", str(a), "--b", str(b)]) == 1
+        code, err = refusal(capsys, "eval", "vi", "--a", a, "--b", b)
+        assert code == 1 and err == f"error: {b}: partitions cover 11 and 2 nodes\n"
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("frag", "partitions cover 11 and 2 nodes"),
+            ("surprise", "partition over 2 nodes does not match graph with 11"),
+            ("modularity", "partition does not match graph"),
+        ],
+    )
+    def test_mismatch_names_the_partition_file(self, capsys, tmp_path, toy_edges, truth, kind, message):
+        a, short = tmp_path / "a.txt", tmp_path / "short.txt"
+        save_partition(truth, a)
+        short.write_text("0\n1\n")
+        if kind == "frag":
+            argv = ["--initial", a, "--found", short]
+        else:
+            argv = ["--graph", toy_edges, "--partition", short]
+        code, err = refusal(capsys, "eval", kind, *argv)
+        assert code == 1 and err == f"error: {short}: {message}\n"
+
+    def test_modularity_of_edgeless_graph_names_the_graph(self, capsys, tmp_path):
+        graph, part = tmp_path / "edgeless.txt", tmp_path / "p.txt"
+        graph.write_text("# nodes 3\n")
+        part.write_text("0\n0\n1\n")
+        code, err = refusal(capsys, "eval", "modularity", "--graph", graph, "--partition", part)
+        assert code == 1 and err == f"error: {graph}: modularity undefined on an edgeless graph\n"
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["detect", "--graph", "{bad}"], "graph"),
+            (["eval", "vi", "--a", "{bad}", "--b", "{part}"], "a"),
+            (["eval", "vi", "--a", "{part}", "--b", "{bad}"], "b"),
+            (["eval", "pielou", "--partition", "{bad}"], "partition"),
+            (["eval", "surprise", "--graph", "{graph}", "--partition", "{bad}"], "partition"),
+            (["landscape", "embed", "--dist", "{bad}", "--out", "{out}"], "dist"),
+        ],
+        ids=["detect", "vi-a", "vi-b", "pielou", "surprise", "embed"],
+    )
+    def test_file_not_utf8_named(self, capsys, tmp_path, toy_edges, truth, argv, bad):
+        paths = {"bad": tmp_path / "binary.txt", "part": tmp_path / "p.txt",
+                 "graph": toy_edges, "out": tmp_path / "coords.tsv"}
+        paths["bad"].write_bytes(b"\xff\xfe0 1\n")
+        save_partition(truth, paths["part"])
+        code, err = refusal(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1 and err == f"error: {paths['bad']}: {NOT_UTF8}\n"
+        assert not paths["out"].exists()
 
 
 class TestOracle:
@@ -197,6 +309,14 @@ class TestOracle:
         assert fields["maximizers"] == "2"
         assert float(fields["value"]) == pytest.approx(best, abs=1e-8)
         assert len(lines) == 3
+
+    def test_modularity_maximizers(self, capsys, toy_edges, toy_modularity_oracle):
+        best, argmax = toy_modularity_oracle
+        code, out = run(capsys, "oracle", "--graph", toy_edges, "--quality", "modularity")
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        assert header == f"quality=modularity value={best:.9f} maximizers={len(argmax)}"
+        assert rows == [" ".join(str(c) for c in p.assign) for p in argmax]
 
     def test_triangle_all_in_one(self, capsys, tmp_path):
         path = tmp_path / "tri.edges"
@@ -321,6 +441,25 @@ class TestLandscape:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err == f"error: {dist}: {message}\n"
+        assert not coords_out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--dlim", "nan", "distance cutoff must be positive, got nan"),
+            ("--gamma", "inf", "weight exponent must be finite, got inf"),
+            ("--gamma", "nan", "weight exponent must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_setting_refused(self, capsys, tmp_path, flag, value, message):
+        # each used to exit 0, printing chi2=0 with unfitted coordinates or chi2=nan
+        from surpkit.embedding import save_distance_matrix
+
+        dist = tmp_path / "dist.txt"
+        save_distance_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), dist)
+        coords_out = tmp_path / "coords.tsv"
+        code, err = refusal(capsys, "landscape", "embed", "--dist", dist, flag, value, "--out", coords_out)
+        assert code == 1 and err == f"error: {message}\n"
         assert not coords_out.exists()
 
     def test_non_numeric_matrix_entry_fails(self, capsys, tmp_path):

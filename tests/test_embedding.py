@@ -297,6 +297,22 @@ class TestEmbed:
         with pytest.raises(ValueError):
             EmbeddingConfig(lamb=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d_lim", math.nan), ("d_lim", -math.inf), ("gamma_exp", math.inf),
+         ("gamma_exp", -math.inf), ("gamma_exp", math.nan)],
+    )
+    def test_non_finite_settings_refused(self, field, value):
+        # NaN passed the old d_lim <= 0.0 test, and gamma_exp was not tested
+        with pytest.raises(ValueError, match=f"got {value}"):
+            EmbeddingConfig(**{field: value})
+
+    def test_no_cutoff_at_infinity(self):
+        D = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        coords, chi2, _, _ = embed(D, EmbeddingConfig(d_lim=math.inf), rng=0)
+        cut_coords, cut_chi2, _, _ = embed(D, EmbeddingConfig(d_lim=2.0), rng=0)
+        assert np.array_equal(coords, cut_coords) and chi2 == cut_chi2
+
 
 class TestPeakWalk:
     def test_single_point(self):

@@ -19,7 +19,6 @@ from surpkit.partition import Partition
 from surpkit.surprise import ln_factorial, partition_stats, surprise
 
 optimizer_module = importlib.import_module("surpkit.optimizer")
-# the module itself: the package re-exports the function under the same name
 surprise_module = importlib.import_module("surpkit.surprise")
 
 
@@ -333,6 +332,21 @@ def apply_every_move(g, p):
     return cases
 
 
+def reference_sub_extract(state, cid):
+    """sub_extract() with its own block scan, before it shared one with sub_exchange()."""
+    state._check_comm(cid)
+    if len(state.partition.comms[cid]) < 2:
+        raise ValueError("community too small for sub-community extraction")
+    best_dS = -math.inf
+    for blk in state._plan(cid):
+        dS = blk.S_extract - state.S
+        if dS > TIE_EPS:
+            state._move(blk.nodes, cid, None, blk.dM, blk.dell, blk.S_extract)
+            return MoveOutcome(True, dS, "sub_extract")
+        best_dS = max(best_dS, dS)
+    return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_extract")
+
+
 def sub_scan(state, kind, cid, cTo=None):
     """(block, deltaS) of every block check_deltas() prices for one sub-move, in scan order."""
     return [
@@ -602,6 +616,72 @@ class TestSubPlan:
         assert [b.nodes for b in state._plans[1]] == [{8}, {9}]
         scan = sub_scan(state, "sub_exchange", 1, 2)
         assert not out.accepted and out.deltaS == max(dS for _, dS in scan)
+
+
+class TestBlockScan:
+    """sub_extract() and sub_exchange() share one block scan over a plan
+    that subcommunities() never leaves with fewer than two proper blocks."""
+
+    @staticmethod
+    def assert_proper_blocks(state):
+        for cid, members in enumerate(state.partition.comms):
+            if len(members) < 2:
+                continue
+            blocks = state.subcommunities(cid)
+            assert len(blocks) >= 2
+            assert all(blk and blk < members for blk in blocks)
+            assert set().union(*blocks) == members
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions(max_k=12, max_nc=4), st.booleans())
+    def test_never_the_whole_community(self, gp, reference):
+        g, p = gp
+        with recursion_everywhere() if reference else nullcontext():
+            self.assert_proper_blocks(SurpriseState(g, p))
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["memo", "recursion"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_never_the_whole_community_on_degraded_benchmark(self, seed, reference):
+        # the greedy optimum, then states the anneal walks through
+        with recursion_everywhere() if reference else nullcontext():
+            state = SurpriseState(degraded_k63(seed), rng=seed)
+            state.stepper()
+            self.assert_proper_blocks(state)
+            for T in (0.5, 2.0):
+                state.anneal_step(T)
+                self.assert_proper_blocks(state)
+
+    @staticmethod
+    def extract_to_exhaustion(g, p, seed, sub_extract):
+        """Outcomes, assignment, S bits, rng state and kernel evaluations of
+        sub_extract run to exhaustion on every community in turn."""
+        calls = Counter()
+        kernel = optimizer_module.surprise
+
+        def counted_kernel(*args):
+            calls["surprise"] += 1
+            return kernel(*args)
+
+        state = SurpriseState(g, p, rng=seed)
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer_module, "surprise", counted_kernel)
+            # an applied extraction keeps every id and appends one
+            for cid in range(state.partition.Nc):
+                while len(state.partition.comms[cid]) > 1:
+                    out = sub_extract(state, cid)
+                    outcomes.append((out.accepted, out.deltaS.hex(), out.kind))
+                    if not out.accepted:
+                        break
+        assert state.verify()
+        return outcomes, state.partition.assign, state.S.hex(), state.rng.bit_generator.state, calls["surprise"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions(max_k=12, max_nc=4), st.integers(0, 2 ** 16))
+    def test_sub_extract_matches_its_own_scan(self, gp, seed):
+        g, p = gp
+        got = self.extract_to_exhaustion(g, p, seed, SurpriseState.sub_extract)
+        assert got == self.extract_to_exhaustion(g, p, seed, reference_sub_extract)
 
 
 def scattered_community(c, internal, seed, K=200):

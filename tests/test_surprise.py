@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from surpkit.partition import Partition
 from surpkit.surprise import ln_choose, ln_factorial, partition_stats, surprise
 
-# the module itself: the package re-exports the function under the same name
 surprise_module = importlib.import_module("surpkit.surprise")
 
 
@@ -332,6 +331,15 @@ class TestKernelBits:
         assert not any(t.is_alive() for t in threads)
         for args in cases:
             assert results[args].hex() == reference_surprise(*args).hex()
+
+
+def test_package_attribute_is_the_module():
+    # the package used to re-export the kernel function under the module's name
+    import surpkit
+
+    assert surpkit.surprise is surprise_module
+    assert surpkit.surprise.partition_stats is partition_stats
+    assert "surprise" not in surpkit.__all__
 
 
 class TestPartitionStats:
