@@ -97,7 +97,19 @@ def cmd_bench_our(args) -> int:
     for flag, value in (("--p", args.p), ("--q", args.q)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{flag} must be in [0, 1], got {value}")
+    if not 0.0 <= args.r < 1.0:
+        raise ValueError(f"--r must be in [0, 1), got {args.r}")
+    if args.ncliques < 2:
+        raise ValueError(f"--ncliques must be at least 2, got {args.ncliques}")
+    if not 0.0 < args.pielou <= 1.0:
+        raise ValueError(f"--pielou must be in (0, 1], got {args.pielou}")
     target_sum = round(args.nodes * (1.0 - args.r))
+    # every clique needs two nodes
+    if target_sum < 2 * args.ncliques:
+        raise ValueError(
+            f"--nodes {args.nodes} leaves {target_sum} clique nodes at --r {args.r}, "
+            f"fewer than the {2 * args.ncliques} that --ncliques {args.ncliques} needs"
+        )
     sizes = pielouer_nodes(
         args.ncliques,
         args.pielou,

@@ -175,15 +175,18 @@ def embed(
         if stalled >= config.stall_limit:
             return coords, chi2, gnorm, "stalled"
         trial = coords - lamb * grad
-        t_chi2, dx, dy, e, resid = _chi2(trial, D, w)
-        if t_chi2 < chi2:
-            coords, chi2 = trial, t_chi2
-            grad, gnorm = _gradient(dx, dy, e, resid, m2w)
-            lamb *= 1.0 + config.adj
-            stalled = 0
-        else:
-            lamb *= 1.0 - config.adj
-            stalled += 1
+        # a step too small to change any coordinate leaves chi2 as it is,
+        # which is not below itself: reject it without pricing it
+        if trial.tobytes() != coords.tobytes():
+            t_chi2, dx, dy, e, resid = _chi2(trial, D, w)
+            if t_chi2 < chi2:
+                coords, chi2 = trial, t_chi2
+                grad, gnorm = _gradient(dx, dy, e, resid, m2w)
+                lamb *= 1.0 + config.adj
+                stalled = 0
+                continue
+        lamb *= 1.0 - config.adj
+        stalled += 1
 
 
 def peak_walk(

@@ -41,7 +41,18 @@ singletons as sub-communities, found without recursing.  Such a subgraph
 has n = F or n = 0 links, where every partition has surprise exactly 0.0,
 so the recursive greedy loop from singletons would accept nothing; it
 draws nothing from the rng either, so skipping it leaves the rng stream
-unchanged (argument in subcommunities()).
+unchanged (argument in _closed_form()).
+
+Most recursions that remain only confirm that no block of the community
+can move, and a certificate proves that before recursing.  Fiedler's
+algebraic connectivity of the community's induced subgraph bounds from
+below the links any block cuts, which bounds the new ell from above;
+the new M is exact; and the first term of the hypergeometric tail bounds
+S from above.  When that bound, over every block size and every
+destination, stays below S by a margin larger than the rounding, the
+sub-community moves of that community are rejected without the
+recursion: its plan is empty (argument in _certificate() and _plan()).
+Decisions, S bits and the rng stream are those of the recursing solve.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ import numpy as np
 
 from surpkit.graph import Graph
 from surpkit.partition import Partition
-from surpkit.surprise import partition_stats, surprise
+from surpkit.surprise import first_term_bound, ln_factorial, partition_stats, surprise
 
 # strict-improvement threshold; exact ties are handled by shake()
 TIE_EPS = 1e-12
@@ -307,17 +318,10 @@ class SurpriseState:
 
         A community whose induced subgraph is complete or edgeless is
         answered in closed form, without the recursion: its singletons, in
-        ascending node order.  Its internal link count is read from the link
-        table.  The subgraph then has n = F (complete) or n = 0 (edgeless),
-        and surprise(F, M, n, ell) is exactly 0.0 for every feasible (M,
-        ell): feasibility forces ell = M or ell = 0, so every ln_choose in
-        lt0 is ln C(m, m) or ln C(m, 0), that is t[m] - t[0] - t[m] = 0.0,
-        and the term loop is empty.  Starting from singletons, with S = 0.0,
-        no move clears TIE_EPS, so the recursive stepper() accepts nothing
-        and returns the singletons in Graph.subgraph's ascending relabel
-        order.  That order matters: _anneal_propose draws a block by index.
-        stepper() draws nothing from the rng, so skipping it leaves the rng
-        stream as it was.
+        ascending node order (see _closed_form()).  Any other community is
+        answered from the memo, or else by the recursion, which fills the
+        memo.  The memo never holds a complete or edgeless community, so it
+        is read first.
 
         For c >= 2 the result has at least two blocks, none of them the
         whole community, so _plan and _anneal_propose filter nothing out.
@@ -328,17 +332,15 @@ class SurpriseState:
         """
         self._check_comm(cid)
         members = self.partition.comms[cid]
-        c = len(members)
-        if c < 2:
+        if len(members) < 2:
             return [set(members)]
-        # twice the links inside the community
-        internal2 = sum(self._node_links[u].get(cid, 0) for u in members)
-        if internal2 == 0 or internal2 == c * (c - 1):
-            return [{u} for u in sorted(members)]
         key = frozenset(members)
         cached = self._sub_cache.get(key)
         if cached is not None:
             return [set(sub) for sub in cached]
+        closed = self._closed_form(cid)
+        if closed is not None:
+            return closed
         sub, back = self.graph.subgraph(members)
         state = SurpriseState(sub, rng=self.rng)
         state.stepper()
@@ -349,20 +351,151 @@ class SurpriseState:
         self._sub_cache[key] = [set(s) for s in result]
         return result
 
+    def _closed_form(self, cid: int) -> list[set[int]] | None:
+        """The singletons of cid when its induced subgraph is complete or edgeless, else None.
+
+        The internal link count is read from the link table.  Such a
+        subgraph has n = F (complete) or n = 0 (edgeless), and surprise(F,
+        M, n, ell) is exactly 0.0 for every feasible (M, ell): feasibility
+        forces ell = M or ell = 0, so every ln_choose in lt0 is ln C(m, m)
+        or ln C(m, 0), that is t[m] - t[0] - t[m] = 0.0, and the term loop
+        is empty.  Starting from singletons, with S = 0.0, no move clears
+        TIE_EPS, so the recursive stepper() would accept nothing and return
+        the singletons in Graph.subgraph's ascending relabel order.  That
+        order matters: _anneal_propose draws a block by index.  stepper()
+        draws nothing from the rng, so skipping it leaves the rng stream as
+        it was.
+        """
+        members = self.partition.comms[cid]
+        c = len(members)
+        # twice the links inside the community
+        internal2 = sum(self._node_links[u].get(cid, 0) for u in members)
+        if internal2 == 0 or internal2 == c * (c - 1):
+            return [{u} for u in sorted(members)]
+        return None
+
+    def _certificate(self, cid: int) -> float | None:
+        """A bound on the deltaS of every proper block move out of cid, or None.
+
+        The bound is returned only when it is at most -margin, which
+        proves that no block of cid, moved to a new community or to any
+        other, can raise S.  A block B of b nodes (1 <= b <= c - 1) moved
+        to a community T of t nodes (t = 0 for a new one) changes M by
+        exactly b*(t + b - c) (see _delta()), and ell by the links of B
+        into T minus the cut between B and the rest of cid:
+
+        - The links into T are at most the sum of the b largest member link
+          counts into T.  Each count is at most t, so the sum is at most
+          b*t.  They are 0 for a new community.
+        - Fiedler (Czech. Math. J. 23:298, 1973): with lambda_2 the
+          algebraic connectivity of cid's induced subgraph, a cut between b
+          and c - b of its nodes has at least lambda_2*b*(c - b)/c links,
+          so at least the ceiling of that.
+
+        So the new ell is at most U = ell + links - ceil(...), clamped to
+        the feasible range [max(0, n - F + M'), min(M', n)], which holds
+        the new ell too.  The hypergeometric tail P(X >= ell) does not grow
+        with ell and does not shrink as M grows, so S = -ln P does not fall
+        with ell and does not rise with M: S(M', new ell) <= S(M', U).  A
+        community that no member links to is no better than a new one: the
+        new ell is that of the move to a new community, while M' is larger.
+        The tail is at least its first term, so S(M', U) <= -ln pmf(U),
+        which first_term_bound() computes with the kernel's own table
+        reads: it is never below the kernel's value at (M', U), unless it
+        is below 0.0, where the kernel clamps.
+
+        Rounding.  eigvalsh is backward stable: its lambda_2 is off by a
+        small multiple of c*eps*||L||, far below 1e-9*||L|| for any
+        community that fits in memory, and ||L|| <= 2*dmax (Gershgorin).
+        Subtracting 2e-9*dmax before the ceiling leaves a value below the
+        true lambda_2 by more than the rounding of the product, so no
+        ceiling rounds up past the integer cut.  The kernel and the bound
+        read the same ln-factorial table.  Their computed values differ
+        from the exact ones only through at most nine table entries, each
+        at most ln F! in size and off by a relative 2.8e-14 at F = 2e6
+        (against mpmath; the error grows slowly with F), and a few
+        roundings of the same size.  So margin = 1e-9*max(1, ln F!)
+        exceeds their total with room to spare,
+        and every block the kernel prices comes out below self.S, never
+        within TIE_EPS of it.  The errors scale with the table entries, not
+        with S, which can be far smaller than ln F! early in a solve.
+        """
+        p = self.partition
+        members = sorted(p.comms[cid])
+        c = len(members)
+        index = {u: i for i, u in enumerate(members)}
+        adj, node_links = self.graph.adj, self._node_links
+        lap = np.zeros((c, c))
+        into: dict[int, np.ndarray] = {}  # member link counts into each other community
+        for i, u in enumerate(members):
+            for v in adj[u]:
+                j = index.get(v)
+                if j is not None:
+                    lap[i, j] = -1.0
+            for cj, k in node_links[u].items():
+                if cj != cid:
+                    row = into.get(cj)
+                    if row is None:
+                        row = into[cj] = np.zeros(c, dtype=np.int64)
+                    row[i] = k
+        deg = -lap.sum(axis=1)
+        lap[np.diag_indices(c)] = deg
+        lam = np.linalg.eigvalsh(lap)[1] - 2e-9 * deg.max()
+        if lam <= 0.0:
+            return None  # disconnected: a component leaves at no cost
+        b = np.arange(1, c, dtype=np.int64)
+        cut = np.ceil(lam * (b * (c - b)) / c).astype(np.int64)
+        # row 0 is a new community, row r > 0 a linked one; its links are
+        # the running sum of its member counts in descending order
+        t = np.array([0] + [len(p.comms[cj]) for cj in into], dtype=np.int64)[:, None]
+        links = np.zeros((len(into) + 1, c - 1), dtype=np.int64)
+        if into:
+            counts = -np.sort(-np.array(list(into.values())), axis=1)
+            links[1:] = np.cumsum(counts, axis=1)[:, : c - 1]
+        F, n = self.graph.F, self.graph.n
+        M = self.M + b * (t + b - c)
+        U = np.minimum(self.ell + links - cut, np.minimum(M, n))
+        U = np.maximum(U, np.maximum(0, n - F + M))
+        best = float(first_term_bound(F, M, n, U).max())
+        margin = 1e-9 * max(1.0, ln_factorial(F))
+        return best - self.S if best <= self.S - margin else None
+
     def _plan(self, cid: int) -> list[_SubBlock]:
         """The proper sub-communities of cid in ascending order of their smallest node.
 
         Built once per community and state: the sub_extract call and the
         Nc sub_exchange calls that stepper() makes for one community share
         it, and every applied move drops it.  Every caller asks for c >= 2
-        nodes, so the plan has at least two blocks (see subcommunities()).
+        nodes.
+
+        A complete or edgeless community takes the closed form.  For any
+        other, when the memo has no answer, _certificate() runs before the
+        recursion.  When it proves that no proper block can raise S, the
+        plan is empty and the recursion is skipped.  Every plan reader then
+        does what the recursion's blocks would have made it do: stepper(),
+        sub_extract and sub_exchange would apply none of them, and shake()
+        needs a change within TIE_EPS, which the certificate rules out.
+        The recursion draws nothing from the rng, so skipping it leaves the
+        rng stream unchanged.  A plan that is not empty has at least two
+        blocks (see subcommunities()).
+
+        The closed form is tested here once; subcommunities() repeats the
+        test only for a community that also missed the memo and goes on to
+        the recursion, whose cost dwarfs it.
         """
         plan = self._plans.get(cid)
         if plan is not None:
             return plan
+        blocks = self._closed_form(cid)
+        if blocks is None:
+            members = frozenset(self.partition.comms[cid])
+            if members not in self._sub_cache and self._certificate(cid) is not None:
+                plan = self._plans[cid] = []
+                return plan
+            blocks = self.subcommunities(cid)
         node_links = self._node_links
         plan = []
-        for sub in sorted(self.subcommunities(cid), key=min):
+        for sub in sorted(blocks, key=min):
             dM, dell = self._delta(sub, cid, None)
             links: dict[int, int] = {}
             for u in sub:
@@ -412,12 +545,15 @@ class SurpriseState:
 
         On rejection, deltaS is an upper bound on the best block's deltaS
         (up to that rounding), not always the exact value: a skipped block
-        contributes its extraction deltaS.  It is finite, as the plan is
-        never empty.  check_deltas() prices every block exactly.
+        contributes its extraction deltaS.  An empty plan reports 0.0: its
+        certificate put every block's deltaS below -margin (see _plan()).
+        So deltaS is always finite.  check_deltas() prices every block
+        exactly.
         """
+        plan = self._plan(cid)
         t = 0 if dst is None else len(self.partition.comms[dst])
-        best_dS = -math.inf
-        for blk in self._plan(cid):
+        best_dS = -math.inf if plan else 0.0
+        for blk in plan:
             dS = blk.S_extract - self.S
             if dst in blk.links or dS > TIE_EPS:
                 dM = blk.dM + t * len(blk.nodes)

@@ -97,12 +97,13 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
     logs_M = logs if M <= n else None
     # log of the first term, j = ell: ln_choose's nine table reads in
     # ln_choose's order, so the bits are its own; the checks above keep
-    # every index in [0, F]
-    t = _table.item
+    # every index in [0, F].  A memoryview item is the same float as
+    # _table.item's, read without a method call
+    t = memoryview(_table)
     lt0 = (
-        (t(M) - t(ell) - t(M - ell))
-        + (t(F - M) - t(n - ell) - t(F - M - n + ell))
-        - (t(F) - t(n) - t(F - n))
+        (t[M] - t[ell] - t[M - ell])
+        + (t[F - M] - t[n - ell] - t[F - M - n + ell])
+        - (t[F] - t[n] - t[F - n])
     )
     # stream the remaining terms through successive ratios
     cur = 0.0   # log(term_j / term_ell)
@@ -126,6 +127,27 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
             acc += math.exp(rel)
     s = -(lt0 + mx + math.log(acc))
     return s if s > 0.0 else 0.0
+
+
+def first_term_bound(F: int, M: np.ndarray, n: int, ell: np.ndarray) -> np.ndarray:
+    """-ln of the first term of surprise()'s sum, elementwise over int arrays M and ell.
+
+    The tail sum is at least its first term, the pmf at ell, so each entry
+    bounds surprise(F, M, n, ell) from above.  The floats are the kernel's
+    own: the same nine table reads combined in the same order, so entry i
+    is bit for bit -lt0 of surprise(F, M[i], n, ell[i]), and the kernel
+    adds the non-negative mx and ln(acc) to lt0 before negating.  Every
+    (M[i], ell[i]) must be feasible, as surprise() requires.
+    """
+    if F >= _table.size:
+        _grow(F, 0)
+    t = _table
+    lt0 = (
+        (t[M] - t[ell] - t[M - ell])
+        + (t[F - M] - t[n - ell] - t[F - M - n + ell])
+        - (t[F] - t[n] - t[F - n])
+    )
+    return -lt0
 
 
 def partition_stats(graph: Graph, partition: Partition) -> tuple[int, int, float]:

@@ -178,6 +178,41 @@ class TestBench:
         assert code == 1 and err == f"error: {message}\n"
         assert not edges.exists() and not truth.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--r", "1.5"], "--r must be in [0, 1), got 1.5"),
+            (["--r", "1"], "--r must be in [0, 1), got 1.0"),
+            (["--r", "nan"], "--r must be in [0, 1), got nan"),
+            (["--r", "-0.1"], "--r must be in [0, 1), got -0.1"),
+            (["--nodes", "0"], "--nodes 0 leaves 0 clique nodes at --r 0.0, fewer than the 8 that --ncliques 4 needs"),
+            (["--nodes", "7"], "--nodes 7 leaves 7 clique nodes at --r 0.0, fewer than the 8 that --ncliques 4 needs"),
+            (["--r", "0.9"], "--nodes 40 leaves 4 clique nodes at --r 0.9, fewer than the 8 that --ncliques 4 needs"),
+            (["--ncliques", "1"], "--ncliques must be at least 2, got 1"),
+            (["--pielou", "0"], "--pielou must be in (0, 1], got 0.0"),
+            (["--pielou", "nan"], "--pielou must be in (0, 1], got nan"),
+        ],
+    )
+    def test_size_setting_refused(self, capsys, tmp_path, flags, message):
+        # --r 1.5 used to fail inside the size generator with a message that
+        # named no flag, and --r nan with a float-to-int conversion error
+        edges, truth = tmp_path / "e.txt", tmp_path / "t.txt"
+        code, err = refusal(
+            capsys, "bench", "our", "--ncliques", 4, "--pielou", 0.9, "--nodes", 40, *flags,
+            "--out-edges", edges, "--out-truth", truth,
+        )
+        assert code == 1 and err == f"error: {message}\n"
+        assert not edges.exists() and not truth.exists()
+
+    def test_smallest_node_count_accepted(self, capsys, tmp_path):
+        # two nodes per clique is enough
+        edges, truth = tmp_path / "e.txt", tmp_path / "t.txt"
+        code, out = run(
+            capsys, "bench", "our", "--ncliques", 4, "--pielou", 1.0, "--nodes", 8,
+            "--out-edges", edges, "--out-truth", truth,
+        )
+        assert code == 0 and load_partition(truth).Nc == 4
+
     def test_zero_probabilities_draw_nothing(self, capsys, tmp_path):
         files = []
         for tag, flags in (("omitted", []), ("zero", ["--p", 0, "--q", 0])):

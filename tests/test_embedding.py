@@ -291,6 +291,30 @@ class TestEmbed:
         assert 0 < accepted < len(chi2s) - 1  # some steps kept, some rejected
         assert len(gradients) == 1 + accepted
 
+    @pytest.mark.parametrize("index", range(2))
+    def test_step_that_moves_nothing_is_not_priced(self, monkeypatch, landscape_matrices, index):
+        # once the step scale is below every coordinate's ulp, the trial is
+        # coords itself: embed() rejects it unpriced, the reference prices it
+        D = landscape_matrices[index]
+        priced, reference_priced = [], []
+        chi2_part, reference = embedding._chi2, reference_chi_grad
+
+        def counted_chi2(*args):
+            priced.append(1)
+            return chi2_part(*args)
+
+        def counted_reference(*args):
+            reference_priced.append(1)
+            return reference(*args)
+
+        monkeypatch.setattr(embedding, "_chi2", counted_chi2)
+        monkeypatch.setitem(globals(), "reference_chi_grad", counted_reference)
+        got = embed(D, EmbeddingConfig(), rng=index)
+        want = reference_embed(D, EmbeddingConfig(), index)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        assert len(priced) < len(reference_priced)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(d_lim=0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import random
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surpkit.benchmarks import build_benchmark
+from surpkit.benchmarks import build_benchmark, pielouer_nodes
+from surpkit.cli import sub_rng
 from surpkit.datasets import disconnected_cliques, toy_graph
 from surpkit.exhaustive import best_partitions, best_surprise_partitions
 from surpkit.graph import Graph
@@ -847,6 +849,143 @@ class TestRejectedMoves:
         assert fast.partition.assign == ref.partition.assign
         assert fast.S == ref.S
         assert 0 < fast_calls < len(calls) - fast_calls
+
+
+def every_block_move(state, cid):
+    """deltaS of every proper subset of cid moved to a new community or to
+    any other one, with (dM, dell) counted from the graph, not the link table."""
+    p, g = state.partition, state.graph
+    members = sorted(p.comms[cid])
+    c = len(members)
+    for b in range(1, c):
+        for block in combinations(members, b):
+            inside = set(block)
+            cut, links = 0, Counter()
+            for u in block:
+                for v in g.adj[u]:
+                    if v not in inside:
+                        if p.assign[v] == cid:
+                            cut += 1
+                        else:
+                            links[p.assign[v]] += 1
+            for dst in [None, *(cj for cj in range(p.Nc) if cj != cid)]:
+                t = 0 if dst is None else len(p.comms[dst])
+                M, ell = state.M + b * (t + b - c), state.ell + links[dst] - cut
+                yield surprise(g.F, M, g.n, ell) - state.S
+
+
+@contextmanager
+def certificates_checked():
+    """Within the block, every certificate that holds is recorded as (c,
+    bound), and checked against every_block_move when c <= 10."""
+    held = []
+    certificate = SurpriseState._certificate
+
+    def checked(state, cid):
+        bound = certificate(state, cid)
+        if bound is not None:
+            c = len(state.partition.comms[cid])
+            held.append((c, bound))
+            assert bound < 0.0
+            if c <= 10:
+                for dS in every_block_move(state, cid):
+                    assert dS <= bound + 1e-12 and dS <= TIE_EPS
+        return bound
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SurpriseState, "_certificate", checked)
+        yield held
+
+
+@contextmanager
+def no_certificate():
+    """Within the block, no certificate ever holds: every plan recurses."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SurpriseState, "_certificate", lambda state, cid: None)
+        yield
+
+
+class TestCertificate:
+    """The certificate that empties a plan: against exhaustive enumeration of
+    every block move, and against the solve that always recurses."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 20))
+    def test_bound_holds_for_every_block_in_a_solve(self, seed):
+        # every state stepper() builds a plan in, the recursion's included
+        g, p = sparse_random_case(seed)
+        with certificates_checked():
+            SurpriseState(g, p, rng=seed).stepper()
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions(max_k=12, max_nc=4))
+    def test_bound_holds_for_every_block_from_any_start(self, gp):
+        state = SurpriseState(*gp)
+        with certificates_checked():
+            for cid in range(state.partition.Nc):
+                if len(state.partition.comms[cid]) > 1:
+                    state._plan(cid)
+
+    def test_bound_checked_where_it_holds(self):
+        with certificates_checked() as held:
+            for seed in range(60):
+                g, p = sparse_random_case(seed)
+                SurpriseState(g, p, rng=seed).stepper()
+        assert sum(c <= 10 for c, _ in held) > 20
+
+    @staticmethod
+    def solve(g, seed, context):
+        with context:
+            counts, state, calls = counted_run(g, None, seed, SurpriseState.stepper)
+            state.shake()
+        return (counts, state.partition.assign, state.S.hex(), state.rng.bit_generator.state), calls
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fires_on_degraded_benchmark(self, seed):
+        # it holds for 15-node communities at the top level; the solve,
+        # shake included, equals the one that always recurses, with fewer
+        # kernel evaluations
+        g = degraded_k63(seed)
+        with certificates_checked() as held:
+            fast, fast_calls = self.solve(g, seed, nullcontext())
+        assert held
+        slow, slow_calls = self.solve(g, seed, no_certificate())
+        assert fast == slow
+        assert fast_calls["surprise"] < slow_calls["surprise"]
+
+    def test_certified_rejection(self):
+        # an empty plan rejects both sub-moves with deltaS 0.0, above every
+        # block the recursion finds, each of which prices at most the bound
+        state = SurpriseState(degraded_k63(0), rng=0)
+        state.stepper()
+        Nc = state.partition.Nc
+        bounds = {cid: state._certificate(cid) for cid in range(Nc) if len(state.partition.comms[cid]) > 2}
+        certified = [cid for cid, bound in bounds.items() if bound is not None]
+        assert certified
+        for cid in certified:
+            assert state._plan(cid) == []
+            assert state.sub_extract(cid) == MoveOutcome(False, 0.0, "sub_extract")
+            assert state.sub_exchange(cid, (cid + 1) % Nc) == MoveOutcome(False, 0.0, "sub_exchange")
+            for sub in state.subcommunities(cid):
+                for dst in [None, *(cj for cj in range(Nc) if cj != cid)]:
+                    dM, dell = state._delta(sub, cid, dst)
+                    assert state._S_at(state.M + dM, state.ell + dell) - state.S <= bounds[cid] + 1e-12
+
+
+class TestPaperScale:
+    def test_k500_partition_pinned(self):
+        # the paper-scale recipe at K=500: 20 cliques of about 25 nodes,
+        # Pielou 0.85, r=0.01, p=0.4, q=0.02, instance seed 0, solved as
+        # `surpkit detect --seed 0` solves it
+        sizes = pielouer_nodes(20, 0.85, (495, 495), rng=sub_rng(0, "bench.sizes"))
+        net = build_benchmark(sizes, 0.01, False, rng=sub_rng(0, "bench.build"))
+        net.degrade_p(0.4)
+        net.degrade_q(0.02)
+        state = SurpriseState(net.graph, rng=sub_rng(0, "detect"))
+        state.stepper()
+        assert state.S.hex() == "0x1.9b7ec1c6157cep+13"
+        digest = hashlib.sha256("".join(f"{c}\n" for c in state.partition.assign).encode()).hexdigest()
+        assert digest == "5aabe873a564f1285da08468a208c04d58498e32255f105484879265133380b5"
 
 
 class TestMoveOutcome:

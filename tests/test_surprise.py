@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surpkit.partition import Partition
-from surpkit.surprise import ln_choose, ln_factorial, partition_stats, surprise
+from surpkit.surprise import first_term_bound, ln_choose, ln_factorial, partition_stats, surprise
 
 surprise_module = importlib.import_module("surpkit.surprise")
 
@@ -314,6 +314,23 @@ class TestKernelBits:
         assert grown.size > F
         common = min(grown.size, surprise_module._table.size)
         assert np.array_equal(grown[:common], surprise_module._table[:common])
+
+    @settings(max_examples=500, deadline=None)
+    @given(kernel_inputs(max_F=200_000, max_n=5_000), st.integers(1, 6))
+    def test_first_term_bound(self, args, count):
+        # the kernel's own -lt0 (the same float; a zero may differ in
+        # sign), so never below the kernel; an array of (M, ell) pairs at
+        # one (F, n) gives each its own value
+        F, M, n, ell = args
+        Ms = np.array([M] * count)
+        ells = np.array([max(ell - i, max(0, n - (F - M))) for i in range(count)])
+        got = first_term_bound(F, Ms, n, ells)
+        for bound, e in zip(got.tolist(), ells.tolist()):
+            lt0 = ln_choose(M, e) + ln_choose(F - M, n - e) - ln_choose(F, n)
+            assert bound == -lt0
+            assert surprise(F, M, n, e) <= max(bound, 0.0)
+            if e == min(M, n):  # a one-term tail
+                assert surprise(F, M, n, e) == max(bound, 0.0)
 
     def test_concurrent_extension(self):
         F, M = 2_000_000, 700_000
