@@ -8,18 +8,18 @@ accumulating the distance covered.
 
 Everything in a stress evaluation that depends only on D (the cut-off
 mask, the weights w and m2w = -2 (w + w^T)) is built once per ``embed()``
-by ``_weights``.  The stress kernel ``_stress`` is two parts: ``_chi2``
-returns chi^2 with the arrays (dx, dy, e, resid) it was computed from,
-and ``_gradient`` turns those arrays and m2w into the gradient and its
-norm.  Most descent steps are rejected, and a rejected step needs only
-chi^2, so ``embed()`` prices every trial with ``_chi2`` and runs
-``_gradient`` once at the start and once per accepted step.  This walks
-exactly the descent that pricing every trial with ``_stress`` would: the
-parts run the same operations on the same arrays, a rejected trial's
-gradient would never be read, and no array is kept across steps.
-``_stress`` (and so ``chi_grad``) is the two parts run back to back, and
-returns the same bits as the direct evaluation, which builds the
-(N, N, 2) array of differences r_i - r_j, takes
+by ``_weights``.  The stress kernel is two parts: ``_chi2`` returns
+chi^2 with the arrays (dx, dy, e, resid) it was computed from, and
+``_gradient`` turns those arrays and m2w into the gradient and its norm.
+Three places run the two parts back to back: ``chi_grad``, the first
+evaluation in ``embed()``, and every step ``embed()`` keeps.  Most
+descent steps are rejected, and a rejected step needs only chi^2, so
+``embed()`` prices every trial with ``_chi2`` alone.  This walks exactly
+the descent that running both parts on every trial would: the parts run
+the same operations on the same arrays, a rejected trial's gradient
+would never be read, and no array is kept across steps.  The two parts
+back to back return the same bits as the direct evaluation, which
+builds the (N, N, 2) array of differences r_i - r_j, takes
 coef = -2.0 * (w + w^T) * resid / e and sums coef_ij (r_i - r_j) over
 the middle axis (the tests keep it as the reference, on C-ordered
 coordinates as ``embed`` uses):
@@ -43,15 +43,30 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# the descent schedule and its stops
+_LAMB = 0.2  # initial step scale
+_ADJ = 0.05  # the scale grows by this fraction on a kept step, shrinks on a rejected one
+_EPS = 1e-10  # gradient norm per coordinate below which the descent has converged
+_LAMB_FLOOR = 1e-18  # step scale below which the descent stops
+_STALL_LIMIT = 5000  # consecutive rejected steps after which the descent stops
+# total steps after which the descent stops: a slow, steady descent (three
+# collinear points) is never stalled and would otherwise run without end
+_STEP_LIMIT = 20 * _STALL_LIMIT
+
+
 @dataclass(frozen=True)
 class EmbeddingConfig:
+    """The two settings of the stress chi^2.
+
+    Only pairs with d_ij < ``d_lim`` contribute, each weighted by
+    d_ij ** ``gamma_exp``.  ``d_lim`` must be positive (+inf means no
+    cut-off) and ``gamma_exp`` finite; any other value is refused with a
+    ValueError.  ``embed`` and ``chi_grad`` both check their settings
+    here.
+    """
+
     gamma_exp: float = -1.0
     d_lim: float = 1.0
-    lamb: float = 0.2
-    adj: float = 0.05
-    eps: float = 1e-10
-    lamb_floor: float = 1e-18
-    stall_limit: int = 5000
 
     def __post_init__(self):
         # +inf is a valid cut-off (none); NaN fails both tests
@@ -59,8 +74,6 @@ class EmbeddingConfig:
             raise ValueError(f"distance cutoff must be positive, got {self.d_lim}")
         if not math.isfinite(self.gamma_exp):
             raise ValueError(f"weight exponent must be finite, got {self.gamma_exp}")
-        if self.lamb <= 0.0:
-            raise ValueError("initial step scale must be positive")
 
 
 def _validate_D(D: np.ndarray) -> np.ndarray:
@@ -80,9 +93,10 @@ def _validate_D(D: np.ndarray) -> np.ndarray:
     return D
 
 
-def _weights(D: np.ndarray, gamma_exp: float, d_lim: float) -> tuple[np.ndarray, np.ndarray]:
+def _weights(D: np.ndarray, config: EmbeddingConfig) -> tuple[np.ndarray, np.ndarray]:
     """Pair weights w (upper triangle) and m2w = -2 (w + w^T) for a validated D."""
-    mask = np.triu(D < d_lim, k=1)
+    gamma_exp = config.gamma_exp
+    mask = np.triu(D < config.d_lim, k=1)
     zero_d = mask & (D == 0.0)
     if gamma_exp < 0.0 and zero_d.any():
         warnings.warn(
@@ -120,14 +134,6 @@ def _gradient(
     return grad, float(np.sqrt((grad ** 2).sum()))
 
 
-def _stress(
-    coords: np.ndarray, D: np.ndarray, w: np.ndarray, m2w: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    """chi^2, its gradient and the gradient norm, given the weights of ``_weights``."""
-    chi2, dx, dy, e, resid = _chi2(coords, D, w)
-    return (chi2, *_gradient(dx, dy, e, resid, m2w))
-
-
 def chi_grad(
     coords: np.ndarray, D: np.ndarray, gamma_exp: float = -1.0, d_lim: float = 1.0
 ) -> tuple[float, np.ndarray, float]:
@@ -135,14 +141,18 @@ def chi_grad(
 
     Only pairs with d_ij strictly below the cutoff contribute.  Pairs with
     d_ij = 0 are excluded when the weight d_ij^gamma is undefined
-    (negative exponent), with a warning.
+    (negative exponent), with a warning.  The settings are refused as
+    ``EmbeddingConfig`` refuses them.
     """
+    config = EmbeddingConfig(gamma_exp, d_lim)
     D = _validate_D(D)
     coords = np.asarray(coords, dtype=float)
     N = D.shape[0]
     if coords.shape != (N, 2):
         raise ValueError(f"coordinates must be shaped ({N}, 2)")
-    return _stress(coords, D, *_weights(D, gamma_exp, d_lim))
+    w, m2w = _weights(D, config)
+    chi2, dx, dy, e, resid = _chi2(coords, D, w)
+    return (chi2, *_gradient(dx, dy, e, resid, m2w))
 
 
 def embed(
@@ -153,27 +163,32 @@ def embed(
     """Fit 2-D coordinates to a distance matrix by adaptive gradient descent.
 
     Starts from seeded random points in the unit square; a step is kept
-    when it lowers chi^2 (and the step scale grows by ``adj``), otherwise
-    undone (and the scale shrinks).  Stops when the per-coordinate
-    gradient norm falls below ``eps``, the scale underflows
-    ``lamb_floor``, or ``stall_limit`` consecutive steps fail.  Returns
-    (coords, chi2, gradient norm, termination reason).
+    when it lowers chi^2 (and the step scale grows by 5 %), otherwise
+    undone (and the scale shrinks by 5 %).  Stops when the per-coordinate
+    gradient norm falls below 1e-10 ("converged"), the scale underflows
+    1e-18 ("step underflow"), 5,000 consecutive steps fail ("stalled"),
+    or after 100,000 steps ("step limit").  Returns (coords, chi2,
+    gradient norm, termination reason).
     """
     D = _validate_D(D)
     N = D.shape[0]
     rng = np.random.default_rng(rng)
     coords = rng.random((N, 2))
-    lamb = config.lamb
-    w, m2w = _weights(D, config.gamma_exp, config.d_lim)
-    chi2, grad, gnorm = _stress(coords, D, w, m2w)
-    stalled = 0
+    lamb = _LAMB
+    w, m2w = _weights(D, config)
+    chi2, dx, dy, e, resid = _chi2(coords, D, w)
+    grad, gnorm = _gradient(dx, dy, e, resid, m2w)
+    stalled = steps = 0
     while True:
-        if gnorm / (2 * N) < config.eps:
+        if gnorm / (2 * N) < _EPS:
             return coords, chi2, gnorm, "converged"
-        if lamb < config.lamb_floor:
+        if lamb < _LAMB_FLOOR:
             return coords, chi2, gnorm, "step underflow"
-        if stalled >= config.stall_limit:
+        if stalled >= _STALL_LIMIT:
             return coords, chi2, gnorm, "stalled"
+        if steps >= _STEP_LIMIT:
+            return coords, chi2, gnorm, "step limit"
+        steps += 1
         trial = coords - lamb * grad
         # a step too small to change any coordinate leaves chi2 as it is,
         # which is not below itself: reject it without pricing it
@@ -182,10 +197,10 @@ def embed(
             if t_chi2 < chi2:
                 coords, chi2 = trial, t_chi2
                 grad, gnorm = _gradient(dx, dy, e, resid, m2w)
-                lamb *= 1.0 + config.adj
+                lamb *= 1.0 + _ADJ
                 stalled = 0
                 continue
-        lamb *= 1.0 - config.adj
+        lamb *= 1.0 - _ADJ
         stalled += 1
 
 

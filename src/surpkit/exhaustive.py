@@ -14,6 +14,8 @@ from surpkit.partition import Partition
 from surpkit.surprise import surprise
 
 MAX_EXHAUSTIVE_K = 12
+# partitions whose value is within this of the maximum are all maximizers
+_TOL = 1e-9
 
 
 def set_partitions(K: int) -> Iterator[list[int]]:
@@ -36,11 +38,9 @@ def set_partitions(K: int) -> Iterator[list[int]]:
     yield from rec(1, 0)
 
 
-def _best(
-    graph: Graph, value: Callable[[list[int]], float], tol: float
-) -> tuple[float, list[Partition]]:
+def _best(graph: Graph, value: Callable[[list[int]], float]) -> tuple[float, list[Partition]]:
     """The maximum of ``value`` over every restricted growth string, and
-    the partitions within ``tol`` of it."""
+    the partitions within ``_TOL`` of it."""
     if graph.K > MAX_EXHAUSTIVE_K:
         raise ValueError(
             f"exhaustive enumeration refused for K={graph.K} > {MAX_EXHAUSTIVE_K}"
@@ -49,26 +49,28 @@ def _best(
     argmax: list[Partition] = []
     for assign in set_partitions(graph.K):
         v = value(assign)
-        if v > best + tol:
+        if v > best + _TOL:
             best = v
             argmax = [Partition(assign)]
-        elif v >= best - tol:
+        elif v >= best - _TOL:
             argmax.append(Partition(assign))
     return best, argmax
 
 
 def best_partitions(
-    graph: Graph, quality: Callable[[Graph, Partition], float], tol: float = 1e-9
+    graph: Graph, quality: Callable[[Graph, Partition], float]
 ) -> tuple[float, list[Partition]]:
     """Exhaustive maximization of an arbitrary quality function.
 
-    Returns the maximum value and every partition within ``tol`` of it.
+    Returns the maximum value and every partition within 1e-9 of it.
     """
-    return _best(graph, lambda assign: quality(graph, Partition(assign)), tol)
+    return _best(graph, lambda assign: quality(graph, Partition(assign)))
 
 
-def best_surprise_partitions(graph: Graph, tol: float = 1e-9) -> tuple[float, list[Partition]]:
+def best_surprise_partitions(graph: Graph) -> tuple[float, list[Partition]]:
     """Exhaustive surprise maximization, caching S by the (M, ell) summary.
+
+    Returns the maximum S and every partition within 1e-9 of it.
 
     F and n are fixed by the graph, so surprise depends on a partition only
     through (M, ell); caching collapses the 678,570 evaluations at K=11 to
@@ -88,4 +90,4 @@ def best_surprise_partitions(graph: Graph, tol: float = 1e-9) -> tuple[float, li
             S = cache[M, ell] = surprise(graph.F, M, graph.n, ell)
         return S
 
-    return _best(graph, value, tol)
+    return _best(graph, value)

@@ -121,7 +121,8 @@ def load_edge_list(path) -> Graph:
     Lines starting with '#' are comments.  Duplicate and reversed edges are
     merged silently.  A ``# nodes K`` comment fixes the node count, so
     trailing isolated nodes survive a round trip; without one the node
-    count is one plus the largest id seen.
+    count is one plus the largest id seen.  A file with neither an edge
+    nor a ``# nodes K`` line describes no graph and is refused.
     """
     edges = []
     max_id, max_line = 0, 0
@@ -153,6 +154,8 @@ def load_edge_list(path) -> Graph:
             if max(u, v) > max_id:
                 max_id, max_line = max(u, v), lineno
     if declared is None:
+        if not edges:
+            raise EdgeListError(f"{path}: no edges and no '# nodes K' line")
         return Graph(max_id + 1, edges)
     if edges and max_id >= declared:
         raise EdgeListError(f"{path}:{max_line}: node id {max_id} not below the declared node count {declared}")

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Collection, Sequence
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -857,19 +857,22 @@ class SurpriseState:
         return M == self.M and ell == self.ell and abs(S - self.S) < 1e-9
 
 
+# the annealing temperatures sample_partitions cycles through
+_TEMPERATURES = (2.0, 1.0, 0.5, 0.25)
+
+
 def sample_partitions(
     graph: Graph,
     count: int,
     rng: np.random.Generator | int | None = None,
-    temperatures: Sequence[float] = (2.0, 1.0, 0.5, 0.25),
     max_sweeps: int = 10_000,
 ) -> list[Partition]:
     """Collect distinct partitions by annealing sweeps plus degenerate shakes.
 
-    Runs Monte-Carlo sweeps cycling through the given temperatures,
-    snapshotting the partition after each sweep, until ``count`` distinct
-    partitions were seen (or ``max_sweeps`` sweeps were spent).  Also
-    records the greedy optimum and its shake neighborhood.
+    Runs Monte-Carlo sweeps cycling through the temperatures 2, 1, 0.5
+    and 0.25, snapshotting the partition after each sweep, until ``count``
+    distinct partitions were seen (or ``max_sweeps`` sweeps were spent).
+    Also records the greedy optimum and its shake neighborhood.
     """
     rng = np.random.default_rng(rng)
     seen: dict[tuple[int, ...], Partition] = {}
@@ -887,7 +890,7 @@ def sample_partitions(
 
     sweeps = 0
     while len(seen) < count and sweeps < max_sweeps:
-        T = temperatures[sweeps % len(temperatures)]
+        T = _TEMPERATURES[sweeps % len(_TEMPERATURES)]
         state.anneal_step(T)
         record(state.partition)
         sweeps += 1

@@ -59,6 +59,16 @@ class TestDetect:
     def test_missing_file_fails(self, capsys, tmp_path):
         assert main(["detect", "--graph", str(tmp_path / "nope.edges")]) == 1
 
+    @pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "whitespace"])
+    def test_empty_edge_list_refused(self, capsys, tmp_path, text):
+        # used to print K=1 n=0 Nc=1 M=0 ell=0 S=0.000000000 and exit 0
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        out_path = tmp_path / "found.txt"
+        code, err = refusal(capsys, "detect", "--graph", path, "--out", out_path)
+        assert code == 1 and err == f"error: {path}: no edges and no '# nodes K' line\n"
+        assert not out_path.exists()
+
     def test_anneal_polish_keeps_optimum(self, capsys, toy_edges, toy_surprise_oracle):
         best, _ = toy_surprise_oracle
         code, out = run(
@@ -496,6 +506,16 @@ class TestLandscape:
         code, err = refusal(capsys, "landscape", "embed", "--dist", dist, flag, value, "--out", coords_out)
         assert code == 1 and err == f"error: {message}\n"
         assert not coords_out.exists()
+
+    def test_step_limit_reported(self, capsys, tmp_path, monkeypatch):
+        from surpkit import embedding
+
+        # three collinear points reach no other stop within 300 steps
+        monkeypatch.setattr(embedding, "_STEP_LIMIT", 300)
+        dist = tmp_path / "dist.txt"
+        dist.write_text("3\n0 1 2\n1 0 1\n2 1 0\n")
+        code, out = run(capsys, "landscape", "embed", "--dist", dist, "--dlim", 3, "--out", tmp_path / "c.tsv")
+        assert code == 0 and out.split()[-1] == "stop=step_limit"
 
     def test_non_numeric_matrix_entry_fails(self, capsys, tmp_path):
         dist = tmp_path / "dist.txt"

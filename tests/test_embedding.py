@@ -50,28 +50,33 @@ def reference_chi_grad(coords, D, gamma_exp=-1.0, d_lim=1.0):
 
 
 def reference_embed(D, config, rng):
-    """The descent loop of embed() over reference_chi_grad."""
+    """The descent loop of embed() over reference_chi_grad.  The schedule
+    and stop constants are read from the module when it is called, so a
+    test that lowers one lowers it for both loops."""
     N = D.shape[0]
     rng = np.random.default_rng(rng)
     coords = rng.random((N, 2))
-    lamb = config.lamb
+    lamb = embedding._LAMB
     chi2, grad, gnorm = reference_chi_grad(coords, D, config.gamma_exp, config.d_lim)
-    stalled = 0
+    stalled = steps = 0
     while True:
-        if gnorm / (2 * N) < config.eps:
+        if gnorm / (2 * N) < embedding._EPS:
             return coords, chi2, gnorm, "converged"
-        if lamb < config.lamb_floor:
+        if lamb < embedding._LAMB_FLOOR:
             return coords, chi2, gnorm, "step underflow"
-        if stalled >= config.stall_limit:
+        if stalled >= embedding._STALL_LIMIT:
             return coords, chi2, gnorm, "stalled"
+        if steps >= embedding._STEP_LIMIT:
+            return coords, chi2, gnorm, "step limit"
+        steps += 1
         trial = coords - lamb * grad
         t_chi2, t_grad, t_gnorm = reference_chi_grad(trial, D, config.gamma_exp, config.d_lim)
         if t_chi2 < chi2:
             coords, chi2, grad, gnorm = trial, t_chi2, t_grad, t_gnorm
-            lamb *= 1.0 + config.adj
+            lamb *= 1.0 + embedding._ADJ
             stalled = 0
         else:
-            lamb *= 1.0 - config.adj
+            lamb *= 1.0 - embedding._ADJ
             stalled += 1
 
 
@@ -232,21 +237,23 @@ class TestEmbed:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
 
-    def test_identical_to_reference_loop_when_stalled(self):
+    def test_identical_to_reference_loop_when_stalled(self, monkeypatch):
         N = 6
         D = np.ones((N, N))  # six equidistant points do not fit in the plane
         np.fill_diagonal(D, 0.0)
         D[0, 1] += 1e-10  # symmetric only within np.allclose
-        cfg = EmbeddingConfig(d_lim=2.0, stall_limit=20)
+        monkeypatch.setattr(embedding, "_STALL_LIMIT", 20)
+        cfg = EmbeddingConfig(d_lim=2.0)
         got = embed(D, cfg, rng=0)
         want = reference_embed(D, cfg, 0)
         assert got[3] == "stalled"
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
 
-    def test_zero_distance_warning(self):
+    def test_zero_distance_warning(self, monkeypatch):
         D = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.0]])
-        cfg = EmbeddingConfig(stall_limit=50)
+        monkeypatch.setattr(embedding, "_STALL_LIMIT", 50)
+        cfg = EmbeddingConfig()
         with pytest.warns(UserWarning, match="zero distances") as rec:
             got = embed(D, cfg, rng=3)
         assert len(rec) == 1  # the weights are built once per embed
@@ -318,18 +325,41 @@ class TestEmbed:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(d_lim=0.0)
-        with pytest.raises(ValueError):
-            EmbeddingConfig(lamb=-1.0)
 
     @pytest.mark.parametrize(
         "field, value",
-        [("d_lim", math.nan), ("d_lim", -math.inf), ("gamma_exp", math.inf),
-         ("gamma_exp", -math.inf), ("gamma_exp", math.nan)],
+        [("d_lim", math.nan), ("d_lim", -math.inf), ("d_lim", 0.0), ("d_lim", -1.0),
+         ("gamma_exp", math.inf), ("gamma_exp", -math.inf), ("gamma_exp", math.nan)],
     )
     def test_non_finite_settings_refused(self, field, value):
-        # NaN passed the old d_lim <= 0.0 test, and gamma_exp was not tested
-        with pytest.raises(ValueError, match=f"got {value}"):
+        # NaN passed the old d_lim <= 0.0 test, and gamma_exp was not tested;
+        # chi_grad answered 0.0, inf or nan for what EmbeddingConfig refused
+        with pytest.raises(ValueError, match=f"got {value}") as refused:
             EmbeddingConfig(**{field: value})
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError) as chi_grad_refused:
+            chi_grad(np.array([[0.0, 0.0], [2.0, 0.0]]), D, **{field: value})
+        assert str(chi_grad_refused.value) == str(refused.value)
+
+    def test_step_limit(self, monkeypatch):
+        # three collinear points: chi2 falls steadily toward 0, so no other
+        # stop is reached (at the real limit of 100,000 steps it takes seconds)
+        D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        cfg = EmbeddingConfig(d_lim=3.0)
+        monkeypatch.setattr(embedding, "_STEP_LIMIT", 300)
+        priced, reference = [], reference_chi_grad
+
+        def counted_reference(*args):
+            priced.append(1)
+            return reference(*args)
+
+        monkeypatch.setitem(globals(), "reference_chi_grad", counted_reference)
+        got = embed(D, cfg, rng=0)
+        want = reference_embed(D, cfg, 0)
+        assert got[3] == want[3] == "step limit"
+        assert len(priced) == 1 + 300  # the start, then one trial per step
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
 
     def test_no_cutoff_at_infinity(self):
         D = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])

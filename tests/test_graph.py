@@ -161,6 +161,20 @@ class TestIO:
         with pytest.raises(EdgeListError, match=rf"^{re.escape(str(path))}:{lineno}: declared node count 0 is below 1$"):
             load_edge_list(path)
 
+    @pytest.mark.parametrize("text", ["", " \n\t\n", "# nodes of a toy graph\n"])
+    def test_no_edge_and_no_node_count_refused(self, tmp_path, text):
+        # each used to load as a graph of one node
+        path = tmp_path / "empty.edges"
+        path.write_text(text)
+        with pytest.raises(EdgeListError, match=rf"^{re.escape(str(path))}: no edges and no '# nodes K' line$"):
+            load_edge_list(path)
+
+    def test_node_count_alone_is_an_edgeless_graph(self, tmp_path):
+        path = tmp_path / "edgeless.edges"
+        save_edge_list(Graph(4, []), path)
+        assert path.read_text() == "# nodes 4\n"
+        assert load_edge_list(path) == Graph(4, [])
+
     def test_other_comments_do_not_set_node_count(self, tmp_path):
         path = tmp_path / "c.edges"
         path.write_text("# nodes of a toy graph\n# nodes x\n0 1\n")
