@@ -23,6 +23,12 @@ from surpkit.partition import Partition
 
 # ----- Pielou-controlled size lists --------------------------------------
 
+# pielouer's starting size, and when both generators stop: within _TOL of
+# the target evenness, or after _MAX_ITER proposals
+_SIZE_START = 25
+_TOL = 0.01
+_MAX_ITER = 100_000
+
 
 def _anneal_sizes(
     sizes: list[int],
@@ -30,12 +36,10 @@ def _anneal_sizes(
     perturb: Callable[[list[int], np.random.Generator], tuple[int, ...]],
     undo: Callable[[list[int], tuple[int, ...]], None],
     rng: np.random.Generator,
-    tol: float = 0.01,
-    max_iter: int = 100_000,
 ) -> list[int]:
     err = abs(pielou(sizes) - target)
-    for _ in range(max_iter):
-        if err <= tol:
+    for _ in range(_MAX_ITER):
+        if err <= _TOL:
             break
         token = perturb(sizes, rng)
         if token is None:
@@ -52,7 +56,6 @@ def pielouer(
     N: int,
     target: float,
     size_floor: int = 2,
-    size_start: int = 25,
     rng: np.random.Generator | int | None = None,
 ) -> list[int]:
     """A list of N sizes whose Pielou evenness is close to ``target``.
@@ -66,7 +69,7 @@ def pielouer(
     if not (0.0 < target <= 1.0):
         raise ValueError("target evenness must be in (0, 1]")
     rng = np.random.default_rng(rng)
-    sizes = [max(size_floor, size_start)] * N
+    sizes = [max(size_floor, _SIZE_START)] * N
 
     def perturb(s: list[int], r: np.random.Generator):
         i = int(r.integers(N))

@@ -17,28 +17,32 @@ class Graph:
     from the edge set.
     """
 
-    __slots__ = ("K", "edges", "adj", "n", "F")
+    __slots__ = ("K", "adj", "n", "F")
 
     def __init__(self, K: int, edges: Iterable[tuple[int, int]]):
         if K < 1:
             raise ValueError("node count must be >= 1")
         adj: list[set[int]] = [set() for _ in range(K)]
-        edge_set: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
                 raise EdgeListError(f"self-loop on node {u}")
             if not (0 <= u < K and 0 <= v < K):
                 raise EdgeListError(f"edge ({u}, {v}) outside node range [0, {K})")
-            if u > v:
-                u, v = v, u
-            edge_set.add((u, v))
             adj[u].add(v)
             adj[v].add(u)
-        self.K = K
-        self.edges = frozenset(edge_set)
+        self._set(adj)
+
+    def _set(self, adj: list[set[int]]) -> None:
+        """Store a symmetric, loop-free adjacency list and the counts read from it."""
+        self.K = K = len(adj)
         self.adj = adj
-        self.n = len(edge_set)
+        self.n = sum(map(len, adj)) // 2
         self.F = K * (K - 1) // 2
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs ``(u, v)`` with ``u < v``, built on each access."""
+        return frozenset((u, v) for u, row in enumerate(self.adj) for v in row if v > u)
 
     def neighbors(self, u: int) -> list[int]:
         """Neighbors of ``u`` in ascending order."""
@@ -89,13 +93,8 @@ class Graph:
             self._check_node(u)
         index = {u: i for i, u in enumerate(order)}
         adj = self.adj
-        sub_adj = [{index[v] for v in adj[u] if v in index} for u in order]
         sub = Graph.__new__(Graph)
-        sub.K = m = len(order)
-        sub.adj = sub_adj
-        sub.edges = frozenset((i, j) for i, row in enumerate(sub_adj) for j in row if j > i)
-        sub.n = len(sub.edges)
-        sub.F = m * (m - 1) // 2
+        sub._set([{index[v] for v in adj[u] if v in index} for u in order])
         return sub, order
 
     def _check_node(self, u: int) -> None:
@@ -105,7 +104,7 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.K == other.K and self.edges == other.edges
+        return self.adj == other.adj
 
     def __hash__(self):
         return hash((self.K, self.edges))

@@ -547,8 +547,7 @@ class SurpriseState:
         (up to that rounding), not always the exact value: a skipped block
         contributes its extraction deltaS.  An empty plan reports 0.0: its
         certificate put every block's deltaS below -margin (see _plan()).
-        So deltaS is always finite.  check_deltas() prices every block
-        exactly.
+        So deltaS is always finite.
         """
         plan = self._plan(cid)
         t = 0 if dst is None else len(self.partition.comms[dst])
@@ -802,42 +801,6 @@ class SurpriseState:
             blocks = [blk.nodes for blk in self._plan(ci) if len(blk.nodes) > 1]
             sub_exchanges += any(tie(b, ci, cTo) for cTo in range(p.Nc) if cTo != ci for b in blocks)
         return exchanges, sub_exchanges
-
-    def check_deltas(self) -> list[tuple[tuple, float]]:
-        """deltaS of every currently legal move, without changing the state.
-
-        Entries are ((kind, *args), deltaS).  Sub-community moves are
-        described by the frozen node set involved.
-        """
-        p = self.partition
-
-        def dS(nodes: Collection[int], src: int, dst: int | None) -> float:
-            dM, dell = self._delta(nodes, src, dst)
-            return self._S_at(self.M + dM, self.ell + dell) - self.S
-
-        out: list[tuple[tuple, float]] = []
-        for cA in range(p.Nc):
-            for cB in range(cA + 1, p.Nc):
-                out.append((("merge", cA, cB), dS(p.comms[cB], cB, cA)))
-        for node in range(self.graph.K):
-            src = p.assign[node]
-            if len(p.comms[src]) <= 1:
-                continue
-            for cTo in range(p.Nc):
-                if cTo != src:
-                    out.append((("exchange", node, cTo), dS((node,), src, cTo)))
-            out.append((("extract", node), dS((node,), src, None)))
-        for cid in range(p.Nc):
-            if len(p.comms[cid]) < 2:
-                continue
-            for sub in sorted(self.subcommunities(cid), key=min):
-                if len(sub) == len(p.comms[cid]):
-                    continue
-                out.append((("sub_extract", cid, frozenset(sub)), dS(sub, cid, None)))
-                for cTo in range(p.Nc):
-                    if cTo != cid:
-                        out.append((("sub_exchange", cid, frozenset(sub), cTo), dS(sub, cid, cTo)))
-        return out
 
     def verify(self) -> bool:
         """True iff the cached M, ell, S and link table match a from-scratch recomputation."""

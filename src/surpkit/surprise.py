@@ -157,6 +157,6 @@ def partition_stats(graph: Graph, partition: Partition) -> tuple[int, int, float
             f"partition over {partition.K} nodes does not match graph with {graph.K}"
         )
     M = partition.M
-    assign = partition.assign
-    ell = sum(1 for u, v in graph.edges if assign[u] == assign[v])
+    adj, comms = graph.adj, partition.comms
+    ell = sum(len(adj[u] & comms[c]) for u, c in enumerate(partition.assign)) // 2
     return M, ell, surprise(graph.F, M, graph.n, ell)

@@ -546,6 +546,26 @@ class TestLandscape:
         assert not walk_out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--graph", "missing.edges", "--out", "out.txt"],
+        ["bench", "our", "--ncliques", "4", "--pielou", "0.9", "--nodes", "40",
+         "--out-edges", "out.txt", "--out-truth", "truth.txt"],
+        ["bench", "rc", "--graph", "missing.edges", "--R", "10", "--out", "out.txt"],
+        ["landscape", "embed", "--dist", "missing.dist", "--out", "out.txt"],
+    ],
+    ids=["detect", "bench-our", "bench-rc", "landscape-embed"],
+)
+def test_negative_seed_refused_by_name(capsys, tmp_path, monkeypatch, argv):
+    # numpy used to refuse it as "expected non-negative integer", naming no
+    # flag; the input files do not exist, so the seed is checked before any read
+    monkeypatch.chdir(tmp_path)
+    code, err = refusal(capsys, *argv, "--seed", -1)
+    assert code == 1 and err == "error: --seed must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestValueFiles:
     """mle --samples and landscape walk --values refuse a file with no
     numbers, or a non-finite one, in one line that names the file."""

@@ -35,6 +35,31 @@ class TestConstruction:
         with pytest.raises(EdgeListError):
             Graph(2, [(0, 2)])
 
+    def test_slots(self):
+        # the adjacency sets are the only stored form of the edges
+        assert Graph.__slots__ == ("K", "adj", "n", "F")
+        with pytest.raises(AttributeError):
+            Graph(2, [(0, 1)]).edges = frozenset()
+
+    @given(st.data())
+    def test_matches_sorted_pair_set(self, data):
+        K = data.draw(st.integers(1, 30))
+        node = st.integers(0, K - 1)
+        raw = [(u, v) for u, v in data.draw(st.lists(st.tuples(node, node), max_size=80)) if u != v]
+        # duplicates come from the draw; reversed copies of a prefix are added
+        raw += [(v, u) for u, v in raw[: data.draw(st.integers(0, len(raw)))]]
+        ref = frozenset((min(u, v), max(u, v)) for u, v in raw)
+        g = Graph(K, raw)
+        same = Graph(K, sorted(ref))
+        assert g.edges == ref and g.n == len(ref) and g.F == K * (K - 1) // 2
+        assert g == same and hash(g) == hash(same) == hash((K, ref))
+        assert g != Graph(K + 1, sorted(ref))
+        nodes = data.draw(st.sets(node, min_size=1))
+        sub, order = g.subgraph(nodes)
+        index = {u: i for i, u in enumerate(order)}
+        induced = {(index[u], index[v]) for u, v in ref if u in index and v in index}
+        assert sub.edges == induced and sub.n == len(induced) and sub.K == len(order)
+
     def test_toy_fixture_counts(self, toy):
         # two 4-cliques (6 edges each) plus the path and its attachments
         assert toy.K == 11 and toy.n == 16 and toy.F == 55

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surpkit.graph import Graph
 from surpkit.partition import Partition
 from surpkit.surprise import first_term_bound, ln_choose, ln_factorial, partition_stats, surprise
 
@@ -375,6 +376,17 @@ class TestPartitionStats:
     def test_relabeling_invariance(self, toy, truth):
         relabeled = Partition([[5, 9, 2][c] for c in truth.assign])
         assert partition_stats(toy, truth) == partition_stats(toy, relabeled)
+
+    @given(st.data())
+    def test_ell_matches_edge_walk(self, data):
+        K = data.draw(st.integers(2, 20))
+        pairs = [(u, v) for u in range(K) for v in range(u + 1, K)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        assign = data.draw(st.lists(st.integers(0, 4), min_size=K, max_size=K))
+        M, ell, S = partition_stats(Graph(K, edges), Partition(assign))
+        # the count before partition_stats read the adjacency sets
+        assert ell == sum(1 for u, v in edges if assign[u] == assign[v])
+        assert S == surprise(K * (K - 1) // 2, M, len(edges), ell)
 
     def test_modularity_partition_below_surprise_optimum(self, toy, truth, toy_surprise_oracle):
         # the 3-community split is not the surprise maximizer
