@@ -53,6 +53,15 @@ destination, stays below S by a margin larger than the rounding, the
 sub-community moves of that community are rejected without the
 recursion: its plan is empty (argument in _certificate() and _plan()).
 Decisions, S bits and the rng stream are those of the recursing solve.
+Most certificates fail, so a test that needs no eigensolve runs first.
+For a graph that is not complete, Fiedler also bounds lambda_2 from
+above by the least internal degree, which the link table gives.  Taking
+the cut at that bound, the one-node blocks and their complements are
+priced at a few points; at a point at or past the hypergeometric pmf's
+mode the first-term bound does not fall as ell grows, so a point whose
+bound exceeds S itself proves that the full test, with the Laplacian's
+lambda_2, fails too.  Every certificate returns what the full test
+alone returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -419,28 +428,69 @@ class SurpriseState:
         and every block the kernel prices comes out below self.S, never
         within TIE_EPS of it.  The errors scale with the table entries, not
         with S, which can be far smaller than ln F! early in a solve.
+
+        Failing fast.  Most certificates fail, so a test that needs no
+        Laplacian and no eigvalsh runs first, and returns None only where
+        the test above would.  A member with no link inside cid makes the
+        subgraph disconnected: lambda_2 is 0 and eigvalsh's value, less
+        2e-9*dmax, is at most 0.0, so the test above returns None.
+        Otherwise, for a subgraph that is not complete, Fiedler also gives
+        lambda_2 <= v(G) <= delta_min, the least internal degree (v(G) is
+        the vertex connectivity).  So at b = 1 and at b = c - 1 the cut
+        ceil(lambda_2*(c - 1)/c) is at most ceil(delta_min*(c - 1)/c), an
+        integer; the test above's lambda_2, less 2e-9*dmax, is below the
+        true one by more than the product's rounding, so its computed
+        ceiling is at most that integer too.  A fast point takes that cut
+        with the exact links and M' of the test above at the same (b, T):
+        the largest member count into T at b = 1, the total less the
+        smallest at b = c - 1 (the smallest is 0 unless every member links
+        to T), and 0 for a new community, where both sizes are one point.
+        The clamp is monotone, so the test above's U at that point is at
+        least the fast U.  The pmf ratio pmf(k + 1)/pmf(k) = (M' - k)(n -
+        k)/((k + 1)(F - M' - n + k + 1)) is at most 1 exactly when (k +
+        1)(F + 2) >= (n + 1)(M' + 1), that is for every k at or past the
+        mode floor((n + 1)(M' + 1)/(F + 2)).  So when the fast U is at or
+        past the mode, -ln pmf at the test above's U is at least -ln pmf
+        at the fast U.  Both computed values are within the rounding above
+        of the exact ones, far below the margin, so a fast point whose
+        bound exceeds S itself puts the test above's bound above S -
+        margin, and it would return None too.  A complete community, whose
+        lambda_2 is c, skips the fast points; _plan() never asks for one.
         """
         p = self.partition
-        members = sorted(p.comms[cid])
+        comm = p.comms[cid]
+        members = sorted(comm)
         c = len(members)
-        index = {u: i for i, u in enumerate(members)}
-        adj, node_links = self.graph.adj, self._node_links
-        lap = np.zeros((c, c))
-        into: dict[int, np.ndarray] = {}  # member link counts into each other community
-        for i, u in enumerate(members):
-            for v in adj[u]:
-                j = index.get(v)
-                if j is not None:
-                    lap[i, j] = -1.0
-            for cj, k in node_links[u].items():
+        node_links = self._node_links
+        deg = []  # each member's links inside cid
+        into: dict[int, list[int]] = {}  # counts into each other community, of the members linked to it
+        for u in members:
+            row = node_links[u]
+            deg.append(row.get(cid, 0))
+            for cj, k in row.items():
                 if cj != cid:
-                    row = into.get(cj)
-                    if row is None:
-                        row = into[cj] = np.zeros(c, dtype=np.int64)
-                    row[i] = k
-        deg = -lap.sum(axis=1)
+                    into.setdefault(cj, []).append(k)
+        dmin = min(deg)
+        if dmin == 0:
+            return None  # disconnected: a member leaves at no cost
+        F, n, M, ell, S = self.graph.F, self.graph.n, self.M, self.ell, self.S
+        if dmin < c - 1:
+            cut_hi = (dmin * (c - 1) + c - 1) // c
+            points = [(M + 1 - c, 0)]  # (M', links) of a new community
+            for cj, ks in into.items():
+                t = len(p.comms[cj])
+                points.append((M + t + 1 - c, max(ks)))
+                points.append((M + (c - 1) * (t - 1), sum(ks) - (min(ks) if len(ks) == c else 0)))
+            for Mp, links in points:
+                U = max(min(ell + links - cut_hi, Mp, n), 0, n - F + Mp)
+                if U >= (n + 1) * (Mp + 1) // (F + 2) and first_term_bound(F, Mp, n, U) > S:
+                    return None
+        index = {u: i for i, u in enumerate(members)}
+        adj = self.graph.adj
+        lap = np.zeros((c, c))
+        lap[np.repeat(np.arange(c), deg), [index[v] for u in members for v in adj[u] & comm]] = -1.0
         lap[np.diag_indices(c)] = deg
-        lam = np.linalg.eigvalsh(lap)[1] - 2e-9 * deg.max()
+        lam = np.linalg.eigvalsh(lap)[1] - 2e-9 * max(deg)
         if lam <= 0.0:
             return None  # disconnected: a component leaves at no cost
         b = np.arange(1, c, dtype=np.int64)
@@ -450,15 +500,14 @@ class SurpriseState:
         t = np.array([0] + [len(p.comms[cj]) for cj in into], dtype=np.int64)[:, None]
         links = np.zeros((len(into) + 1, c - 1), dtype=np.int64)
         if into:
-            counts = -np.sort(-np.array(list(into.values())), axis=1)
+            counts = -np.sort(-np.array([ks + [0] * (c - len(ks)) for ks in into.values()]), axis=1)
             links[1:] = np.cumsum(counts, axis=1)[:, : c - 1]
-        F, n = self.graph.F, self.graph.n
-        M = self.M + b * (t + b - c)
-        U = np.minimum(self.ell + links - cut, np.minimum(M, n))
+        M = M + b * (t + b - c)
+        U = np.minimum(ell + links - cut, np.minimum(M, n))
         U = np.maximum(U, np.maximum(0, n - F + M))
         best = float(first_term_bound(F, M, n, U).max())
         margin = 1e-9 * max(1.0, ln_factorial(F))
-        return best - self.S if best <= self.S - margin else None
+        return best - S if best <= S - margin else None
 
     def _plan(self, cid: int) -> list[_SubBlock]:
         """The proper sub-communities of cid in ascending order of their smallest node.

@@ -129,19 +129,21 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
     return s if s > 0.0 else 0.0
 
 
-def first_term_bound(F: int, M: np.ndarray, n: int, ell: np.ndarray) -> np.ndarray:
-    """-ln of the first term of surprise()'s sum, elementwise over int arrays M and ell.
+def first_term_bound(F: int, M: int | np.ndarray, n: int, ell: int | np.ndarray) -> float | np.ndarray:
+    """-ln of the first term of surprise()'s sum, for ints M and ell or elementwise over int arrays.
 
     The tail sum is at least its first term, the pmf at ell, so each entry
     bounds surprise(F, M, n, ell) from above.  The floats are the kernel's
     own: the same nine table reads combined in the same order, so entry i
     is bit for bit -lt0 of surprise(F, M[i], n, ell[i]), and the kernel
-    adds the non-negative mx and ln(acc) to lt0 before negating.  Every
-    (M[i], ell[i]) must be feasible, as surprise() requires.
+    adds the non-negative mx and ln(acc) to lt0 before negating.  Two ints
+    give one float, read through a memoryview as the kernel reads it, and
+    it is the entry an array holding them would give.  Every (M, ell) must
+    be feasible, as surprise() requires.
     """
     if F >= _table.size:
         _grow(F, 0)
-    t = _table
+    t = memoryview(_table) if isinstance(M, int) else _table
     lt0 = (
         (t[M] - t[ell] - t[M - ell])
         + (t[F - M] - t[n - ell] - t[F - M - n + ell])

@@ -18,7 +18,7 @@ from surpkit.exhaustive import best_partitions, best_surprise_partitions
 from surpkit.graph import Graph
 from surpkit.optimizer import MOVE_KINDS, TIE_EPS, MoveOutcome, SurpriseState, sample_partitions
 from surpkit.partition import Partition
-from surpkit.surprise import ln_factorial, partition_stats, surprise
+from surpkit.surprise import first_term_bound, ln_factorial, partition_stats, surprise
 
 optimizer_module = importlib.import_module("surpkit.optimizer")
 surprise_module = importlib.import_module("surpkit.surprise")
@@ -385,6 +385,48 @@ def reference_sub_extract(state, cid):
             return MoveOutcome(True, dS, "sub_extract")
         best_dS = max(best_dS, dS)
     return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_extract")
+
+
+def reference_certificate(state, cid):
+    """_certificate() before its fast points: the Laplacian, eigvalsh and the
+    whole grid of block sizes and destinations on every call."""
+    p = state.partition
+    members = sorted(p.comms[cid])
+    c = len(members)
+    index = {u: i for i, u in enumerate(members)}
+    adj, node_links = state.graph.adj, state._node_links
+    lap = np.zeros((c, c))
+    into = {}  # member link counts into each other community
+    for i, u in enumerate(members):
+        for v in adj[u]:
+            j = index.get(v)
+            if j is not None:
+                lap[i, j] = -1.0
+        for cj, k in node_links[u].items():
+            if cj != cid:
+                row = into.get(cj)
+                if row is None:
+                    row = into[cj] = np.zeros(c, dtype=np.int64)
+                row[i] = k
+    deg = -lap.sum(axis=1)
+    lap[np.diag_indices(c)] = deg
+    lam = np.linalg.eigvalsh(lap)[1] - 2e-9 * deg.max()
+    if lam <= 0.0:
+        return None
+    b = np.arange(1, c, dtype=np.int64)
+    cut = np.ceil(lam * (b * (c - b)) / c).astype(np.int64)
+    t = np.array([0] + [len(p.comms[cj]) for cj in into], dtype=np.int64)[:, None]
+    links = np.zeros((len(into) + 1, c - 1), dtype=np.int64)
+    if into:
+        counts = -np.sort(-np.array(list(into.values())), axis=1)
+        links[1:] = np.cumsum(counts, axis=1)[:, : c - 1]
+    F, n = state.graph.F, state.graph.n
+    M = state.M + b * (t + b - c)
+    U = np.minimum(state.ell + links - cut, np.minimum(M, n))
+    U = np.maximum(U, np.maximum(0, n - F + M))
+    best = float(first_term_bound(F, M, n, U).max())
+    margin = 1e-9 * max(1.0, ln_factorial(F))
+    return best - state.S if best <= state.S - margin else None
 
 
 def sub_scan(state, kind, cid, cTo=None):
@@ -1008,6 +1050,85 @@ class TestCertificate:
                 for dst in [None, *(cj for cj in range(Nc) if cj != cid)]:
                     dM, dell = state._delta(sub, cid, dst)
                     assert state._S_at(state.M + dM, state.ell + dell) - state.S <= bounds[cid] + 1e-12
+
+
+def bits(bound):
+    """A certificate's return value, None or its float's exact bits."""
+    return None if bound is None else bound.hex()
+
+
+@contextmanager
+def certificates_against_reference():
+    """Within the block, every certificate must equal reference_certificate()
+    on the same state, None or the same float bits; yields the bounds."""
+    bounds = []
+    certificate = SurpriseState._certificate
+
+    def compared(state, cid):
+        bound = certificate(state, cid)
+        assert bits(bound) == bits(reference_certificate(state, cid))
+        bounds.append(bound)
+        return bound
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SurpriseState, "_certificate", compared)
+        yield bounds
+
+
+class TestFastCertificate:
+    """The certificate's fast points return None only where the Laplacian
+    and the whole grid would, so every call returns what
+    reference_certificate() returns, with fewer eigensolves."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_partitions(max_k=12, max_nc=4))
+    def test_matches_reference_on_every_community(self, gp):
+        state = SurpriseState(*gp)
+        for cid in range(state.partition.Nc):
+            if len(state.partition.comms[cid]) > 1:
+                assert bits(state._certificate(cid)) == bits(reference_certificate(state, cid))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_in_a_solve(self, seed):
+        # every state stepper() builds a plan in, the recursion's included
+        g, p = sparse_random_case(seed)
+        with certificates_against_reference():
+            SurpriseState(g, p, rng=seed).stepper()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_on_degraded_benchmark(self, seed):
+        with certificates_against_reference() as bounds:
+            SurpriseState(degraded_k63(seed), rng=seed).stepper()
+        assert any(bound is None for bound in bounds) and any(bound is not None for bound in bounds)
+
+    def test_fails_fast_on_degraded_benchmark(self, monkeypatch):
+        calls = Counter()
+        certificate, eigvalsh = SurpriseState._certificate, np.linalg.eigvalsh
+
+        def counted_certificate(state, cid):
+            calls["certificate"] += 1
+            return certificate(state, cid)
+
+        def counted_eigvalsh(a):
+            calls["eigvalsh"] += 1
+            return eigvalsh(a)
+
+        monkeypatch.setattr(SurpriseState, "_certificate", counted_certificate)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        SurpriseState(degraded_k63(0), rng=0).stepper()
+        assert 0 < calls["eigvalsh"] < calls["certificate"]
+
+    def test_member_without_internal_link_needs_no_eigensolve(self, monkeypatch):
+        # node 3 links only out of its community {0, 1, 2, 3}
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
+        state = SurpriseState(g, Partition([0, 0, 0, 0, 1, 1]))
+        assert reference_certificate(state, 0) is None
+
+        def refuse(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert state._certificate(0) is None
 
 
 class TestPaperScale:

@@ -61,9 +61,9 @@ def reference_surprise(F, M, n, ell):
 
 
 @st.composite
-def kernel_inputs(draw, max_F=5_000, max_n=5_000):
+def kernel_inputs(draw, max_F=5_000, max_n=5_000, min_F=1):
     """Feasible (F, M, n, ell), weighted towards M > n, ell = min(M, n), n = 0 and n = F."""
-    F = draw(st.integers(1, max_F))
+    F = draw(st.integers(min_F, max_F))
     M = draw(st.integers(0, F))
     n = draw(st.sampled_from([0, F, min(M + 1, F), max(M - 1, 0)]) | st.integers(0, F))
     n = min(n, max_n)
@@ -332,6 +332,21 @@ class TestKernelBits:
             assert surprise(F, M, n, e) <= max(bound, 0.0)
             if e == min(M, n):  # a one-term tail
                 assert surprise(F, M, n, e) == max(bound, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kernel_inputs(max_F=200_000, max_n=5_000)
+        | kernel_inputs(min_F=1_990_000, max_F=2_010_000, max_n=60_000)
+    )
+    def test_first_term_bound_of_ints(self, args):
+        # two ints give one float: the entry an array of them gives and the
+        # kernel's own -lt0, bit for bit
+        F, M, n, ell = args
+        got = first_term_bound(F, M, n, ell)
+        entry = first_term_bound(F, np.array([M]), n, np.array([ell]))[0]
+        lt0 = ln_choose(M, ell) + ln_choose(F - M, n - ell) - ln_choose(F, n)
+        assert type(got) is float
+        assert got.hex() == float(entry).hex() == (-lt0).hex()
 
     def test_concurrent_extension(self):
         F, M = 2_000_000, 700_000
