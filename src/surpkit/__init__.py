@@ -10,7 +10,7 @@ The package is organized as a small numerical library:
 - :mod:`surpkit.benchmarks` clique-based benchmark generators and degradation
 - :mod:`surpkit.randoms`    power-law sampling, zeta function, MLE utilities
 - :mod:`surpkit.embedding`  2-D embedding of partition ensembles, peak walks
-- :mod:`surpkit.exhaustive` brute-force enumeration over all set partitions
+- :mod:`surpkit.exhaustive` one enumeration of all set partitions, the exact oracle
 """
 
 from surpkit.graph import Graph, load_edge_list, save_edge_list

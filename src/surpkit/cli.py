@@ -23,7 +23,7 @@ from surpkit.embedding import (
     load_distance_matrix,
     peak_walk,
 )
-from surpkit.exhaustive import best_partitions, best_surprise_partitions
+from surpkit.exhaustive import best_partitions
 from surpkit.graph import load_edge_list, save_edge_list
 from surpkit.metrics import fragmentation, modularity, pielou, vi
 from surpkit.optimizer import SurpriseState
@@ -173,10 +173,8 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle(args) -> int:
     graph = _read(load_edge_list, args.graph)
-    if args.quality == "surprise":
-        best, argmax = best_surprise_partitions(graph)
-    else:
-        best, argmax = best_partitions(graph, modularity)
+    with _naming(args.graph):
+        best, argmax = best_partitions(graph, args.quality)
     _print_kv(quality=args.quality, value=f"{best:.9f}", maximizers=len(argmax))
     for p in argmax:
         print(" ".join(str(c) for c in p.assign))

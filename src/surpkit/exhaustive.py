@@ -1,4 +1,4 @@
-"""Brute-force search over every set partition of a small graph.
+"""Exhaustive search over every set partition of a small graph.
 
 Used as an independent oracle for the optimizer: the number of set
 partitions grows as the Bell numbers (678,570 at K=11), so enumeration is
@@ -7,9 +7,10 @@ refused above K=12.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from functools import cache
 
 from surpkit.graph import Graph
+from surpkit.metrics import modularity_sum
 from surpkit.partition import Partition
 from surpkit.surprise import surprise
 
@@ -18,76 +19,65 @@ MAX_EXHAUSTIVE_K = 12
 _TOL = 1e-9
 
 
-def set_partitions(K: int) -> Iterator[list[int]]:
-    """All set partitions of K items as restricted growth strings.
+def best_partitions(graph: Graph, quality: str) -> tuple[float, list[Partition]]:
+    """Exhaustive maximization of ``quality``, "surprise" or "modularity".
 
-    A restricted growth string assigns item 0 the id 0 and each later item
-    an id at most one above the maximum so far, so each partition appears
-    exactly once in canonical labeling.
+    Returns the maximum value and every partition within ``_TOL`` of it,
+    in enumeration order.
+
+    The partitions are visited once each as restricted growth strings:
+    node 0 is in community 0, and each later node tries the communities
+    so far in ascending id, then a new one.  Each step carries M, ell and
+    every community's internal links and degree sum, updated in O(degree)
+    from the node's links to the nodes already placed.  Surprise depends
+    on a partition only through (M, ell), so it is memoized by that pair;
+    modularity is summed over the communities in id order by the same
+    :func:`~surpkit.metrics.modularity_sum` as ``metrics.modularity``, so
+    both give the same float.
     """
+    if quality not in ("surprise", "modularity"):
+        raise ValueError(f"unknown quality {quality!r}; expected 'surprise' or 'modularity'")
+    K, n, adj = graph.K, graph.n, graph.adj
+    if K > MAX_EXHAUSTIVE_K:
+        raise ValueError(f"exhaustive enumeration refused for K={K} > {MAX_EXHAUSTIVE_K}")
+    if quality == "modularity" and n < 1:
+        raise ValueError("modularity undefined on an edgeless graph")
+    price = cache(lambda M, ell: surprise(graph.F, M, n, ell))
     assign = [0] * K
-
-    def rec(i: int, mx: int) -> Iterator[list[int]]:
-        if i == K:
-            yield assign
-            return
-        for cid in range(mx + 2):
-            assign[i] = cid
-            yield from rec(i + 1, max(mx, cid))
-
-    yield from rec(1, 0)
-
-
-def _best(graph: Graph, value: Callable[[list[int]], float]) -> tuple[float, list[Partition]]:
-    """The maximum of ``value`` over every restricted growth string, and
-    the partitions within ``_TOL`` of it."""
-    if graph.K > MAX_EXHAUSTIVE_K:
-        raise ValueError(
-            f"exhaustive enumeration refused for K={graph.K} > {MAX_EXHAUSTIVE_K}"
-        )
+    # per community id: size, internal links, degree sum; ids >= nc are empty
+    sizes, links, degrees = [0] * K, [0] * K, [0] * K
     best = -float("inf")
     argmax: list[Partition] = []
-    for assign in set_partitions(graph.K):
-        v = value(assign)
-        if v > best + _TOL:
-            best = v
-            argmax = [Partition(assign)]
-        elif v >= best - _TOL:
-            argmax.append(Partition(assign))
+
+    def place(i: int, nc: int, M: int, ell: int) -> None:
+        """Put node i and the later nodes, nodes 0..i-1 being in nc communities."""
+        nonlocal best, argmax
+        if i == K:
+            if quality == "surprise":
+                v = price(M, ell)
+            else:
+                v = modularity_sum(n, links[:nc], degrees)
+            if v > best + _TOL:
+                best = v
+                argmax = [Partition(assign)]
+            elif v >= best - _TOL:
+                argmax.append(Partition(assign))
+            return
+        into = [0] * (nc + 1)  # node i's links into each community, new last
+        for u in adj[i]:
+            if u < i:
+                into[assign[u]] += 1
+        deg = len(adj[i])
+        for cid, k in enumerate(into):
+            assign[i] = cid
+            size = sizes[cid]
+            sizes[cid] += 1
+            links[cid] += k
+            degrees[cid] += deg
+            place(i + 1, max(nc, cid + 1), M + size, ell + k)
+            sizes[cid] -= 1
+            links[cid] -= k
+            degrees[cid] -= deg
+
+    place(0, 0, 0, 0)
     return best, argmax
-
-
-def best_partitions(
-    graph: Graph, quality: Callable[[Graph, Partition], float]
-) -> tuple[float, list[Partition]]:
-    """Exhaustive maximization of an arbitrary quality function.
-
-    Returns the maximum value and every partition within 1e-9 of it.
-    """
-    return _best(graph, lambda assign: quality(graph, Partition(assign)))
-
-
-def best_surprise_partitions(graph: Graph) -> tuple[float, list[Partition]]:
-    """Exhaustive surprise maximization, caching S by the (M, ell) summary.
-
-    Returns the maximum S and every partition within 1e-9 of it.
-
-    F and n are fixed by the graph, so surprise depends on a partition only
-    through (M, ell); caching collapses the 678,570 evaluations at K=11 to
-    a few hundred distinct ones.
-    """
-    cache: dict[tuple[int, int], float] = {}
-    edges = list(graph.edges)
-
-    def value(assign: list[int]) -> float:
-        counts: dict[int, int] = {}
-        for cid in assign:
-            counts[cid] = counts.get(cid, 0) + 1
-        M = sum(c * (c - 1) // 2 for c in counts.values())
-        ell = sum(1 for u, v in edges if assign[u] == assign[v])
-        S = cache.get((M, ell))
-        if S is None:
-            S = cache[M, ell] = surprise(graph.F, M, graph.n, ell)
-        return S
-
-    return _best(graph, value)

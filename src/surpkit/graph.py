@@ -5,6 +5,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 
+# an edge list may describe at most this many nodes: about 0.2 GB of empty
+# adjacency sets, far past any K whose K(K-1)/2 ln-factorial table the
+# surprise kernel can hold
+MAX_NODES = 10**6
+
+
 class EdgeListError(ValueError):
     """Malformed edge-list input (bad tokens, self-loops, bad node ids)."""
 
@@ -121,7 +127,9 @@ def load_edge_list(path) -> Graph:
     merged silently.  A ``# nodes K`` comment fixes the node count, so
     trailing isolated nodes survive a round trip; without one the node
     count is one plus the largest id seen.  A file with neither an edge
-    nor a ``# nodes K`` line describes no graph and is refused.
+    nor a ``# nodes K`` line describes no graph and is refused, and so is
+    one that declares or implies more than ``MAX_NODES`` nodes, before
+    anything is allocated for them.
     """
     edges = []
     max_id, max_line = 0, 0
@@ -135,6 +143,8 @@ def load_edge_list(path) -> Graph:
                     declared = int(header[1])
                     if declared < 1:
                         raise EdgeListError(f"{path}:{lineno}: declared node count {declared} is below 1")
+                    if declared > MAX_NODES:
+                        raise EdgeListError(f"{path}:{lineno}: declared node count {declared} is above {MAX_NODES}")
                 continue
             if not line:
                 continue
@@ -149,6 +159,8 @@ def load_edge_list(path) -> Graph:
                 raise EdgeListError(f"{path}:{lineno}: negative node id")
             if u == v:
                 raise EdgeListError(f"{path}:{lineno}: self-loop on node {u}")
+            if max(u, v) >= MAX_NODES:
+                raise EdgeListError(f"{path}:{lineno}: node id {max(u, v)} needs more than {MAX_NODES} nodes")
             edges.append((u, v))
             if max(u, v) > max_id:
                 max_id, max_line = max(u, v), lineno

@@ -86,12 +86,17 @@ def modularity(graph: Graph, partition: Partition) -> float:
         raise ValueError("modularity undefined on an edgeless graph")
     if partition.K != graph.K:
         raise ValueError("partition does not match graph")
-    n = graph.n
+    counts = [graph.links_in(comm) for comm in partition.comms]
+    return modularity_sum(graph.n, [i for i, _ in counts], [2 * i + e for i, e in counts])
+
+
+def modularity_sum(n: int, links: Sequence[int], degrees: Sequence[int]) -> float:
+    """Q from each community's internal links and degree sum, summed in
+    community order: the one formula behind :func:`modularity` and the
+    exhaustive oracle, so both give the same float."""
     Q = 0.0
-    for comm in partition.comms:
-        internal, external = graph.links_in(comm)
-        degree_sum = 2 * internal + external
-        Q += internal / n - (degree_sum / (2 * n)) ** 2
+    for ell_c, d_c in zip(links, degrees):
+        Q += ell_c / n - (d_c / (2 * n)) ** 2
     return Q
 
 

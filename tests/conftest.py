@@ -1,8 +1,7 @@
 import pytest
 
 from surpkit.datasets import toy_graph, toy_truth
-from surpkit.exhaustive import best_partitions, best_surprise_partitions
-from surpkit.metrics import modularity
+from surpkit.exhaustive import best_partitions
 
 
 @pytest.fixture(scope="session")
@@ -18,10 +17,10 @@ def truth():
 @pytest.fixture(scope="session")
 def toy_surprise_oracle(toy):
     """Exhaustive surprise maximum of the toy graph: (value, maximizers)."""
-    return best_surprise_partitions(toy)
+    return best_partitions(toy, "surprise")
 
 
 @pytest.fixture(scope="session")
 def toy_modularity_oracle(toy):
     """Exhaustive modularity maximum of the toy graph: (value, maximizers)."""
-    return best_partitions(toy, modularity)
+    return best_partitions(toy, "modularity")

@@ -10,7 +10,7 @@ import pytest
 import surpkit
 from surpkit.cli import main
 from surpkit.datasets import toy_graph, toy_truth
-from surpkit.graph import save_edge_list
+from surpkit.graph import MAX_NODES, save_edge_list
 from surpkit.partition import load_partition, save_partition
 
 
@@ -67,6 +67,26 @@ class TestDetect:
         out_path = tmp_path / "found.txt"
         code, err = refusal(capsys, "detect", "--graph", path, "--out", out_path)
         assert code == 1 and err == f"error: {path}: no edges and no '# nodes K' line\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "oracle"])
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            (f"0 1\n0 {MAX_NODES}\n", 2, f"node id {MAX_NODES} needs more than {MAX_NODES} nodes"),
+            (f"# nodes {MAX_NODES + 1}\n0 1\n", 1, f"declared node count {MAX_NODES + 1} is above {MAX_NODES}"),
+        ],
+        ids=["id", "declared"],
+    )
+    def test_node_count_ceiling(self, capsys, tmp_path, command, text, lineno, message):
+        # a huge id used to allocate one adjacency set per id until the
+        # process was killed, with no error line
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        out_path = tmp_path / "found.txt"
+        argv = [command, "--graph", path] + (["--out", out_path] if command == "detect" else [])
+        code, err = refusal(capsys, *argv)
+        assert code == 1 and err == f"error: {path}:{lineno}: {message}\n"
         assert not out_path.exists()
 
     def test_anneal_polish_keeps_optimum(self, capsys, toy_edges, toy_surprise_oracle):
@@ -345,6 +365,8 @@ class TestEval:
 
 
 class TestOracle:
+    # the paper's toy graph: two tied surprise maxima, one modularity maximum;
+    # each stdout is pinned byte for byte
     def test_surprise_degeneracy(self, capsys, toy_edges, toy_surprise_oracle):
         best, _ = toy_surprise_oracle
         code, out = run(capsys, "oracle", "--graph", toy_edges, "--quality", "surprise")
@@ -353,7 +375,11 @@ class TestOracle:
         fields = dict(kv.split("=") for kv in lines[0].split())
         assert fields["maximizers"] == "2"
         assert float(fields["value"]) == pytest.approx(best, abs=1e-8)
-        assert len(lines) == 3
+        assert out == (
+            "quality=surprise value=21.675463412 maximizers=2\n"
+            "0 0 0 0 1 1 1 1 2 2 3\n"
+            "0 0 0 0 1 1 1 1 2 3 3\n"
+        )
 
     def test_modularity_maximizers(self, capsys, toy_edges, toy_modularity_oracle):
         best, argmax = toy_modularity_oracle
@@ -362,6 +388,7 @@ class TestOracle:
         header, *rows = out.strip().splitlines()
         assert header == f"quality=modularity value={best:.9f} maximizers={len(argmax)}"
         assert rows == [" ".join(str(c) for c in p.assign) for p in argmax]
+        assert out == "quality=modularity value=0.509765625 maximizers=1\n0 0 0 0 1 1 1 1 2 2 2\n"
 
     def test_triangle_all_in_one(self, capsys, tmp_path):
         path = tmp_path / "tri.edges"
@@ -374,6 +401,21 @@ class TestOracle:
         path = tmp_path / "big.edges"
         path.write_text("\n".join(f"{i} {i + 1}" for i in range(13)))
         assert main(["oracle", "--graph", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "text, quality, message",
+        [
+            ("# nodes 3\n", "modularity", "modularity undefined on an edgeless graph"),
+            ("".join(f"{i} {i + 1}\n" for i in range(12)), "surprise", "exhaustive enumeration refused for K=13 > 12"),
+            ("".join(f"{i} {i + 1}\n" for i in range(12)), "modularity", "exhaustive enumeration refused for K=13 > 12"),
+        ],
+        ids=["edgeless", "too-large-surprise", "too-large-modularity"],
+    )
+    def test_refusal_names_the_graph(self, capsys, tmp_path, text, quality, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, err = refusal(capsys, "oracle", "--graph", path, "--quality", quality)
+        assert code == 1 and err == f"error: {path}: {message}\n"
 
 
 class TestMLE:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from surpkit.benchmarks import build_benchmark, pielouer_nodes
 from surpkit.cli import sub_rng
 from surpkit.datasets import disconnected_cliques, toy_graph
-from surpkit.exhaustive import best_partitions, best_surprise_partitions
+from surpkit.exhaustive import best_partitions
 from surpkit.graph import Graph
 from surpkit.optimizer import MOVE_KINDS, TIE_EPS, MoveOutcome, SurpriseState, sample_partitions
 from surpkit.partition import Partition
@@ -590,19 +590,11 @@ class TestStepper:
     @settings(max_examples=15, deadline=None)
     @given(random_graphs(max_k=8))
     def test_never_beats_enumeration(self, g):
-        best, _ = best_surprise_partitions(g)
+        best, _ = best_partitions(g, "surprise")
         state = SurpriseState(g, rng=0)
         state.stepper()
         assert state.S <= best + 1e-9
         assert state.verify()
-
-    @settings(max_examples=15, deadline=None)
-    @given(random_graphs(min_k=2, max_k=8))
-    def test_generic_enumeration_agrees(self, g):
-        best, argmax = best_surprise_partitions(g)
-        best_generic, argmax_generic = best_partitions(g, lambda g, p: partition_stats(g, p)[2])
-        assert best_generic == best
-        assert {p.canonical() for p in argmax_generic} == {p.canonical() for p in argmax}
 
     def test_greedy_monotone(self, toy):
         state = SurpriseState(toy, rng=0)
