@@ -10,7 +10,7 @@ by removing and rewiring a percentage of its links.
 
 from __future__ import annotations
 
-import math
+import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -33,22 +33,28 @@ _MAX_ITER = 100_000
 def _anneal_sizes(
     sizes: list[int],
     target: float,
-    perturb: Callable[[list[int], np.random.Generator], tuple[int, ...]],
-    undo: Callable[[list[int], tuple[int, ...]], None],
+    propose: Callable[[list[int], np.random.Generator], list[int] | None],
     rng: np.random.Generator,
 ) -> list[int]:
+    """Keep each proposal that moves the evenness of ``sizes`` toward ``target``.
+
+    ``propose(sizes, rng)`` returns a changed copy, or None for a change
+    the size floor forbids.
+    """
+    if len(sizes) < 2:
+        raise ValueError("need at least 2 sizes")
+    if not (0.0 < target <= 1.0):
+        raise ValueError("target evenness must be in (0, 1]")
     err = abs(pielou(sizes) - target)
     for _ in range(_MAX_ITER):
         if err <= _TOL:
             break
-        token = perturb(sizes, rng)
-        if token is None:
+        new = propose(sizes, rng)
+        if new is None:
             continue
-        new_err = abs(pielou(sizes) - target)
+        new_err = abs(pielou(new) - target)
         if new_err < err:
-            err = new_err
-        else:
-            undo(sizes, token)
+            sizes, err = new, new_err
     return sizes
 
 
@@ -64,26 +70,18 @@ def pielouer(
     decrements, keeping those that move the evenness toward the target,
     until within 0.01 or the iteration budget runs out (best effort).
     """
-    if N < 2:
-        raise ValueError("need at least 2 sizes")
-    if not (0.0 < target <= 1.0):
-        raise ValueError("target evenness must be in (0, 1]")
-    rng = np.random.default_rng(rng)
-    sizes = [max(size_floor, _SIZE_START)] * N
 
-    def perturb(s: list[int], r: np.random.Generator):
+    def propose(s: list[int], r: np.random.Generator) -> list[int] | None:
         i = int(r.integers(N))
         step = 1 if r.random() < 0.5 else -1
         if s[i] + step < size_floor:
             return None
+        s = list(s)
         s[i] += step
-        return (i, step)
+        return s
 
-    def undo(s: list[int], token):
-        i, step = token
-        s[i] -= step
-
-    return _anneal_sizes(sizes, target, perturb, undo, rng)
+    sizes = [max(size_floor, _SIZE_START)] * N
+    return _anneal_sizes(sizes, target, propose, np.random.default_rng(rng))
 
 
 def pielouer_nodes(
@@ -96,129 +94,119 @@ def pielouer_nodes(
     """As :func:`pielouer`, with the total held inside ``K_range``.
 
     Starts from the most even split of the low end of the range and moves
-    single units between entries, so the total never changes.
+    single units between entries, so the total never changes.  A range
+    whose low end exceeds its high end is refused.
     """
-    if N < 2:
-        raise ValueError("need at least 2 sizes")
-    if not (0.0 < target <= 1.0):
-        raise ValueError("target evenness must be in (0, 1]")
     lo, hi = K_range
+    if lo > hi:
+        raise ValueError(f"total range ({lo}, {hi}) is empty")
     if N * size_floor > hi:
         raise ValueError(f"cannot fit {N} sizes >= {size_floor} into a total of {hi}")
-    rng = np.random.default_rng(rng)
     total = max(lo, N * size_floor)
-    base, extra = divmod(total, N)
-    sizes = [base + (1 if i < extra else 0) for i in range(N)]
+    # range(N) is empty for N <= 0, so nothing divides by zero before
+    # _anneal_sizes refuses N < 2
+    sizes = [total // N + (i < total % N) for i in range(N)]
 
-    def perturb(s: list[int], r: np.random.Generator):
-        i, j = r.choice(N, size=2, replace=False)
-        if s[int(i)] - 1 < size_floor:
+    def propose(s: list[int], r: np.random.Generator) -> list[int] | None:
+        i, j = (int(x) for x in r.choice(N, size=2, replace=False))
+        if s[i] - 1 < size_floor:
             return None
-        s[int(i)] -= 1
-        s[int(j)] += 1
-        return (int(i), int(j))
+        s = list(s)
+        s[i] -= 1
+        s[j] += 1
+        return s
 
-    def undo(s: list[int], token):
-        i, j = token
-        s[i] += 1
-        s[j] -= 1
-
-    return _anneal_sizes(sizes, target, perturb, undo, rng)
+    return _anneal_sizes(sizes, target, propose, np.random.default_rng(rng))
 
 
 # ----- OUR-style benchmark ------------------------------------------------
 
-ProbOfSize = Callable[[int], float]
-ProbOfSizes = Callable[[int, int], float]
 
-
-def constant_p(p: float) -> ProbOfSize:
-    return lambda c: p
-
-
-def constant_q(q: float) -> ProbOfSizes:
-    return lambda ci, cj: q
+def _clique_blocks(cliques: Sequence[int]) -> list[range]:
+    """Clique i's node ids: the consecutive range after cliques 0..i-1."""
+    starts = itertools.accumulate(cliques, initial=0)
+    return [range(start, start + c) for start, c in zip(starts, cliques)]
 
 
 @dataclass
 class BenchmarkNet:
-    """A clique benchmark with its ground truth and degradation state.
+    """A clique benchmark with its ground truth and current edge set.
 
-    ``graph`` reflects the current edge set; degradation mutates the edges
-    and the tallies but never the truth partition.
+    Clique i holds the consecutive node ids after cliques 0..i-1; the
+    nodes after the last clique are singleton communities.  ``graph`` and
+    both link tallies are computed from the current edges; degradation
+    mutates the edges but never the truth partition.
     """
 
-    K: int
     cliques: list[int]
-    clique_nodes: list[list[int]]
-    r: float
-    cycle: bool
     truth: Partition
     edges: set = field(repr=False)
-    inclique_count: int = 0
-    between_count: int = 0
     # the stream degradation draws from; build_benchmark passes its own
     _rng: np.random.Generator = field(default_factory=np.random.default_rng, repr=False, compare=False)
+
+    @property
+    def K(self) -> int:
+        return self.truth.K
 
     @property
     def graph(self) -> Graph:
         return Graph(self.K, self.edges)
 
-    def degrade_p(self, p_fn: ProbOfSize | float) -> int:
+    @property
+    def inclique_count(self) -> int:
+        """The number of edges whose two ends share a truth community."""
+        assign = self.truth.assign
+        return sum(assign[u] == assign[v] for u, v in self.edges)
+
+    @property
+    def between_count(self) -> int:
+        """The number of edges between two truth communities."""
+        return len(self.edges) - self.inclique_count
+
+    def degrade_p(self, p_fn: Callable[[int], float] | float) -> int:
         """Remove each current intra-clique edge with probability p(c_i).
 
-        Returns the number of removed edges.  Ground truth is unchanged.
+        ``p_fn`` is a probability or a function of the clique size.  Returns
+        the number of removed edges.  Ground truth is unchanged.
         """
-        fn = constant_p(p_fn) if not callable(p_fn) else p_fn
-        rng = self._rng
+        fn = p_fn if callable(p_fn) else lambda c: p_fn
         removed = 0
-        for c, nodes in zip(self.cliques, self.clique_nodes):
+        for c, nodes in zip(self.cliques, _clique_blocks(self.cliques)):
             p = fn(c)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"removal probability {p} outside [0, 1]")
-            present = [
-                (nodes[a], nodes[b])
-                for a in range(c)
-                for b in range(a + 1, c)
-                if (nodes[a], nodes[b]) in self.edges
-            ]
-            if not present:
-                continue
-            hits = rng.random(len(present)) < p
-            for (u, v), hit in zip(present, hits):
-                if hit:
-                    self.edges.discard((u, v))
-                    removed += 1
-        self.inclique_count -= removed
+            present = [pair for pair in itertools.combinations(nodes, 2) if pair in self.edges]
+            hits = self._rng.random(len(present)) < p
+            gone = [pair for pair, hit in zip(present, hits) if hit]
+            self.edges.difference_update(gone)
+            removed += len(gone)
         return removed
 
-    def degrade_q(self, q_fn: ProbOfSizes | float) -> int:
+    def degrade_q(self, q_fn: Callable[[int, int], float] | float) -> int:
         """Create each absent clique-to-clique pair with probability q(c_i, c_j).
 
+        ``q_fn`` is a probability or a function of the two clique sizes.
         Pairs involving singleton nodes are left alone: their only links
         are the attachments made at construction.  Returns the number of
         created edges.
         """
-        fn = constant_q(q_fn) if not callable(q_fn) else q_fn
-        rng = self._rng
+        fn = q_fn if callable(q_fn) else lambda ci, cj: q_fn
+        blocks = _clique_blocks(self.cliques)
         created = 0
-        for i in range(len(self.cliques)):
-            for j in range(i):
+        for i, ni in enumerate(blocks):
+            for j, nj in enumerate(blocks[:i]):
                 q = fn(self.cliques[i], self.cliques[j])
                 if not (0.0 <= q <= 1.0):
                     raise ValueError(f"creation probability {q} outside [0, 1]")
                 if q == 0.0:
                     continue
-                ni, nj = self.clique_nodes[i], self.clique_nodes[j]
-                hits = rng.random((len(ni), len(nj))) < q
-                for a, u in enumerate(ni):
-                    for b in np.nonzero(hits[a])[0]:
-                        v = nj[int(b)]
-                        pair = (u, v) if u < v else (v, u)
-                        if pair not in self.edges:
-                            self.edges.add(pair)
-                            created += 1
-        self.between_count += created
+                hits = self._rng.random((len(ni), len(nj))) < q
+                for a, b in zip(*np.nonzero(hits)):
+                    # clique j < i holds the smaller id
+                    pair = (nj[b], ni[a])
+                    if pair not in self.edges:
+                        self.edges.add(pair)
+                        created += 1
         return created
 
 
@@ -243,59 +231,26 @@ def build_benchmark(
         raise ValueError("singleton fraction must be in [0, 1)")
     rng = np.random.default_rng(rng)
     total = sum(cliques)
-    K = int(total / (1.0 - r))
-    n_singles = K - total  # equals floor(r*K)
+    K = int(total / (1.0 - r))  # K - total singletons, floor(r*K) of them
+    blocks = _clique_blocks(cliques)
+    edges = {pair for nodes in blocks for pair in itertools.combinations(nodes, 2)}
 
-    clique_nodes = []
-    start = 0
-    edges: set = set()
-    for c in cliques:
-        nodes = list(range(start, start + c))
-        clique_nodes.append(nodes)
-        for a in range(c):
-            for b in range(a + 1, c):
-                edges.add((nodes[a], nodes[b]))
-        start += c
-    inclique = len(edges)
-
-    between = 0
     if cycle:
-        nc = len(cliques)
-        for i in range(nc):
-            nodes = clique_nodes[i]
-            u, v = nodes[0], nodes[1]
-            edges.discard((u, v))
-            inclique -= 1
-            nxt = clique_nodes[(i + 1) % nc][0]
-            a, b = (u, nxt) if u < nxt else (nxt, u)
-            if a != b and (a, b) not in edges:
-                edges.add((a, b))
-                between += 1
+        for i, nodes in enumerate(blocks):
+            u = nodes[0]
+            edges.discard((u, nodes[1]))
+            nxt = blocks[(i + 1) % len(blocks)][0]
+            if u != nxt:
+                edges.add((min(u, nxt), max(u, nxt)))
 
-    assign = [0] * K
-    for cid, nodes in enumerate(clique_nodes):
-        for u in nodes:
-            assign[u] = cid
-    for s in range(n_singles):
-        node = total + s
-        assign[node] = len(cliques) + s
-        ci = int(rng.integers(len(cliques)))
-        anchor = int(rng.choice(clique_nodes[ci]))
-        edges.add((anchor, node) if anchor < node else (node, anchor))
-        between += 1
+    for node in range(total, K):
+        nodes = blocks[int(rng.integers(len(cliques)))]
+        anchor = int(rng.choice(nodes))
+        edges.add((anchor, node))
 
-    return BenchmarkNet(
-        K=K,
-        cliques=cliques,
-        clique_nodes=clique_nodes,
-        r=r,
-        cycle=cycle,
-        truth=Partition(assign),
-        edges=edges,
-        inclique_count=inclique,
-        between_count=between,
-        _rng=rng,
-    )
+    assign = [cid for cid, c in enumerate(cliques) for _ in range(c)]
+    assign += range(len(cliques), len(cliques) + K - total)
+    return BenchmarkNet(cliques, Partition(assign), edges, rng)
 
 
 def expected_counts(

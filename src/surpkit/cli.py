@@ -103,7 +103,15 @@ def cmd_bench_our(args) -> int:
         raise ValueError(f"--ncliques must be at least 2, got {args.ncliques}")
     if not 0.0 < args.pielou <= 1.0:
         raise ValueError(f"--pielou must be in (0, 1], got {args.pielou}")
-    target_sum = round(args.nodes * (1.0 - args.r))
+    # build_benchmark makes int(t / (1 - r)) nodes from t clique nodes, a
+    # count that rises by at least one per clique node: at most one t gives
+    # --nodes, ceil(N (1 - r)) in exact arithmetic, so round() or one more
+    base = round(args.nodes * (1.0 - args.r))
+    target_sum = next(
+        (t for t in (base, base + 1) if int(t / (1.0 - args.r)) == args.nodes), None
+    )
+    if target_sum is None:
+        raise ValueError(f"no number of clique nodes gives --nodes {args.nodes} at --r {args.r}")
     # every clique needs two nodes
     if target_sum < 2 * args.ncliques:
         raise ValueError(
@@ -138,6 +146,8 @@ def cmd_bench_our(args) -> int:
 
 
 def cmd_bench_rc(args) -> int:
+    if not 0.0 <= args.R <= 100.0:
+        raise ValueError(f"--R must be in [0, 100], got {args.R}")
     graph = _read(load_edge_list, args.graph)
     degraded = rc_degrade(graph, args.R, rng=sub_rng(args.seed, "bench.rc"))
     save_edge_list(degraded, args.out)

@@ -59,6 +59,11 @@ class TestPielouerNodes:
         assert sum(sizes) == 990
         assert abs(pielou(sizes) - 0.95) <= 0.01
 
+    def test_inverted_range_refused(self):
+        # used to return [9, 5, 16], whose total of 30 lies outside the range
+        with pytest.raises(ValueError, match="empty"):
+            pielouer_nodes(3, 0.9, (30, 12), rng=0)
+
 
 class TestBuildBenchmark:
     def test_two_triangles(self):
@@ -189,6 +194,41 @@ class TestDegradation:
         sizes = [25] * 15 + [24] * 5
         _, _, _, mean_out = expected_counts(sizes, 0.01, 0.0, 0.0)
         assert mean_out == pytest.approx(0.01 / 0.99 * 495, rel=1e-12)
+
+
+def block_links(net) -> int:
+    """Edges inside the cliques' consecutive id blocks, counted from the adjacency."""
+    adj, start, inside = net.graph.adj, 0, 0
+    for c in net.cliques:
+        block = set(range(start, start + c))
+        inside += sum(len(adj[u] & block) for u in block) // 2
+        start += c
+    return inside
+
+
+class TestDerivedTallies:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tallies_follow_the_edges(self, seed):
+        # seeds cover cycle off and on, each with float and callable p and q
+        g = np.random.default_rng(seed)
+        cliques = [int(c) for c in g.integers(2, 9, size=int(g.integers(2, 6)))]
+        r, p, q = float(g.uniform(0.01, 0.4)), float(g.uniform(0.0, 0.6)), float(g.uniform(0.0, 0.2))
+        if seed % 4 >= 2:
+            p, q = (lambda c, p=p: p * c / 8), (lambda ci, cj, q=q: q * min(ci, cj) / 8)
+        net = build_benchmark(cliques, r, seed % 2 == 1, rng=seed)
+
+        def tallies():
+            assert net.inclique_count == block_links(net)
+            assert net.inclique_count + net.between_count == net.graph.n
+            return net.inclique_count, net.between_count
+
+        in0, out0 = tallies()
+        removed = net.degrade_p(p)
+        in1, out1 = tallies()
+        created = net.degrade_q(q)
+        in2, out2 = tallies()
+        assert (removed, out1) == (in0 - in1, out0)
+        assert (created, in2) == (out2 - out1, in1)
 
 
 class TestRCDegrade:

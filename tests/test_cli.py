@@ -221,6 +221,7 @@ class TestBench:
             (["--ncliques", "1"], "--ncliques must be at least 2, got 1"),
             (["--pielou", "0"], "--pielou must be in (0, 1], got 0.0"),
             (["--pielou", "nan"], "--pielou must be in (0, 1], got nan"),
+            (["--nodes", "11", "--r", "0.5"], "no number of clique nodes gives --nodes 11 at --r 0.5"),
         ],
     )
     def test_size_setting_refused(self, capsys, tmp_path, flags, message):
@@ -233,6 +234,57 @@ class TestBench:
         )
         assert code == 1 and err == f"error: {message}\n"
         assert not edges.exists() and not truth.exists()
+
+    @pytest.mark.parametrize(
+        "nodes, r, flags",
+        [(150, 0.01, ["--cycle"]), (150, 0.05, []), (80, 0.01, []), (60, 0.01, ["--cycle"]), (8, 0.1, [])],
+    )
+    def test_node_count_met(self, capsys, tmp_path, nodes, r, flags):
+        # each used to write one node too few (or, at --nodes 8, refuse):
+        # --nodes was rounded to clique nodes, and build_benchmark truncates back
+        edges, truth = tmp_path / "e.txt", tmp_path / "t.txt"
+        code, out = run(
+            capsys, "bench", "our", "--ncliques", 4, "--pielou", 0.85, "--nodes", nodes,
+            "--r", r, *flags, "--out-edges", edges, "--out-truth", truth,
+        )
+        assert code == 0
+        assert dict(kv.split("=") for kv in out.split())["K"] == str(nodes)
+        assert len(truth.read_text().splitlines()) == nodes
+
+    def test_k500_recipe_pinned(self, capsys, tmp_path):
+        # the paper-scale recipe at K=500, seed 0, as TestPaperScale solves it
+        edges, truth = tmp_path / "e.txt", tmp_path / "t.txt"
+        code, out = run(
+            capsys, "bench", "our", "--ncliques", 20, "--pielou", 0.85, "--nodes", 500,
+            "--r", 0.01, "--p", 0.4, "--q", 0.02, "--seed", 0,
+            "--out-edges", edges, "--out-truth", truth,
+        )
+        assert code == 0
+        assert out == "K=500 Nc=25 n=8548 inclique=6302 between=2246 pielou=0.8595\n"
+        assert hashlib.sha256(edges.read_bytes()).hexdigest() == (
+            "21ae7ed7d7ec3307b5b571e40ff51af89cae5c10224b4e1390f07710698e729c"
+        )
+        assert hashlib.sha256(truth.read_bytes()).hexdigest() == (
+            "c71327eaf77cb0dfc89d4d0f58ffb9aa6ef4832585163c10b3224344cf9468f7"
+        )
+
+    @pytest.mark.parametrize(
+        "R, message",
+        [
+            ("150", "--R must be in [0, 100], got 150.0"),
+            ("nan", "--R must be in [0, 100], got nan"),
+            ("-1", "--R must be in [0, 100], got -1.0"),
+        ],
+    )
+    def test_rc_percentage_refused(self, capsys, tmp_path, R, message):
+        # refused before the graph is read, so a missing graph is never named;
+        # the refusal used to name neither the flag nor the value
+        out = tmp_path / "rc.txt"
+        code, err = refusal(
+            capsys, "bench", "rc", "--graph", tmp_path / "missing.edges", "--R", R, "--out", out,
+        )
+        assert code == 1 and err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_smallest_node_count_accepted(self, capsys, tmp_path):
         # two nodes per clique is enough
