@@ -9,6 +9,7 @@ pairs on a single line; failures exit nonzero with a one-line diagnostic.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 import zlib
@@ -55,6 +56,22 @@ def _naming(path, error=ValueError):
         yield
     except error as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path whose directory does not exist or that is a
+    directory itself, naming the flag.  Run before any input is read, so a
+    bad path costs no work and no other output is written."""
+    for dest in ("out", "out_edges", "out_truth"):
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path}: is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"{flag} {path}: {parent} is not a directory")
 
 
 def _read(load, path):
@@ -356,6 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        _check_outputs(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

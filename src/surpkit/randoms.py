@@ -13,7 +13,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 _CUT = 10_000  # terms summed directly before the tail correction
 
@@ -149,6 +148,10 @@ def gamma_mle_discrete(samples: Sequence[int], x0: int = 1) -> float:
     Solves dzeta/zeta (gamma, x0) = -mean(ln k) by bracketed root finding
     on gamma in [1.01, 20], to 1e-8.
     """
+    # imported here, at its one use: at module level scipy.optimize would
+    # load with every CLI command and about double its peak memory
+    from scipy.optimize import brentq
+
     samples = np.asarray(samples)
     if samples.size < 2:
         raise ValueError("need at least 2 samples")

@@ -35,14 +35,28 @@ def _grow(m: int, n: int) -> None:
     The table is one running sum: a new stretch starts its cumsum from the
     last entry, so entry m is ln 2 + ... + ln m added in index order, the
     same float however the table grew.
+
+    The new table is allocated once and its extension filled in place, with
+    no temporary as large as the extension.  The extension first holds its
+    own indices, a cumsum of ones from t.size that is exact since every
+    index is below 2**53, so np.log sees the floats an arange would give.
+    The old last entry is added to the first log and np.cumsum then adds in
+    index order, as a cumsum of a separate array would.
     """
     global _table, _logs
     with _table_lock:
         t = _table
         if m >= t.size:
-            ext = np.log(np.arange(t.size, max(m + 1, 2 * t.size), dtype=float))
+            table = np.empty(max(m + 1, 2 * t.size))
+            table[: t.size] = t
+            ext = table[t.size :]
+            ext.fill(1.0)
+            ext[0] = t.size
+            np.cumsum(ext, out=ext)
+            np.log(ext, out=ext)
             ext[0] += t[-1]
-            _table = np.concatenate([t, np.cumsum(ext)])
+            np.cumsum(ext, out=ext)
+            _table = table
         logs = _logs
         if n >= len(logs):
             _logs = logs + [math.log(i) for i in range(len(logs), n + 1)]

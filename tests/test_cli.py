@@ -482,6 +482,14 @@ class TestMLE:
         fields = dict(kv.split("=") for kv in out.split())
         assert abs(float(fields["gamma"]) - 2.5) < 0.1
 
+    def test_discrete_line_pinned(self, capsys, tmp_path):
+        # the line before scipy was imported on first use, bit for bit
+        path = tmp_path / "samples.txt"
+        np.savetxt(path, np.random.default_rng(0).zipf(2.5, 500), fmt="%d")
+        code, out = run(capsys, "mle", "--samples", path, "--discrete")
+        assert code == 0
+        assert out == "gamma=2.39214483 lnL=-558.283750 N=500\n"
+
     def test_continuous(self, capsys, tmp_path):
         import math
 
@@ -660,6 +668,47 @@ def test_negative_seed_refused_by_name(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("detect", "--out"),
+        ("bench our", "--out-edges"),
+        ("bench our", "--out-truth"),
+        ("bench rc", "--out"),
+        ("landscape embed", "--out"),
+        ("landscape walk", "--out"),
+    ],
+    ids=["detect", "bench-our-edges", "bench-our-truth", "bench-rc", "landscape-embed", "landscape-walk"],
+)
+def test_bad_output_path_refused_first(capsys, tmp_path, toy_edges, command, flag, bad):
+    # bench our used to write --out-edges before failing on --out-truth, and
+    # detect to fail on a directory --out only after the whole solve
+    from surpkit.embedding import save_distance_matrix
+
+    dist, values = tmp_path / "dist.txt", tmp_path / "values.txt"
+    save_distance_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]), dist)
+    values.write_text("0\n1\n2\n")
+    out_dir = tmp_path / "out"
+    (out_dir / "sub").mkdir(parents=True)
+    if bad == "missing-directory":
+        path, message = out_dir / "missing" / "x.txt", f"{out_dir / 'missing'} is not a directory"
+    else:
+        path, message = out_dir / "sub", "is a directory"
+    argv = [*command.split(), *{
+        "detect": ["--graph", toy_edges],
+        "bench our": ["--ncliques", 4, "--pielou", 0.85, "--nodes", 100],
+        "bench rc": ["--graph", toy_edges, "--R", 10],
+        "landscape embed": ["--dist", dist],
+        "landscape walk": ["--values", values, "--dist", dist, "--top", 2],
+    }[command]]
+    for out_flag in ("--out-edges", "--out-truth") if command == "bench our" else ("--out",):
+        argv += [out_flag, path if out_flag == flag else out_dir / f"{out_flag[2:]}.txt"]
+    code, err = refusal(capsys, *argv)
+    assert code == 1 and err == f"error: {flag} {path}: {message}\n"
+    assert [p for p in out_dir.rglob("*") if not p.is_dir()] == []
+
+
 class TestValueFiles:
     """mle --samples and landscape walk --values refuse a file with no
     numbers, or a non-finite one, in one line that names the file."""
@@ -772,6 +821,33 @@ class TestValueFiles:
         assert code == 1 and out == ""
         assert err == (f"error: {values}: {message}\n" if names_values else f"error: {message}\n")
         assert not walk_out.exists()
+
+
+def test_scipy_loaded_only_by_the_discrete_fit(tmp_path):
+    # in a fresh interpreter: this suite imports scipy.stats elsewhere
+    script = """
+import sys
+import numpy as np
+import surpkit, surpkit.cli
+from surpkit.embedding import save_distance_matrix
+
+edges, truth, found, dist, coords = sys.argv[1:]
+save_distance_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]), dist)
+for argv in (
+    ["bench", "our", "--ncliques", "4", "--pielou", "0.85", "--nodes", "40",
+     "--out-edges", edges, "--out-truth", truth],
+    ["detect", "--graph", edges, "--out", found],
+    ["eval", "surprise", "--graph", edges, "--partition", found],
+    ["landscape", "embed", "--dist", dist, "--out", coords],
+):
+    assert surpkit.cli.main(argv) == 0, argv
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(surpkit.__file__).resolve().parent.parent))
+    files = [str(tmp_path / name) for name in ("e.txt", "t.txt", "f.txt", "d.txt", "c.tsv")]
+    proc = subprocess.run([sys.executable, "-c", script, *files], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestEntryPoint:

@@ -1,14 +1,17 @@
 import importlib
 import math
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import surpkit
 from surpkit.graph import Graph
 from surpkit.partition import Partition
 from surpkit.surprise import first_term_bound, ln_choose, ln_factorial, partition_stats, surprise
@@ -135,6 +138,10 @@ class TestTableHistory:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 200_000), min_size=1, max_size=12))
+    # past 10**6 entries: at once, after smaller stretches, and doubling
+    @example([10**6 + 1])
+    @example([3, 600_000, 10**6 + 1])
+    @example([10**6 - 1, 10**6, 2_000_000])
     def test_any_growth_sequence_gives_the_one_shot_table(self, targets):
         saved = surprise_module._table
         surprise_module._table = np.zeros(2)
@@ -146,6 +153,26 @@ class TestTableHistory:
             surprise_module._table = saved
         assert grown.size > max(targets)
         assert np.array_equal(grown, self.one_shot(grown.size - 1))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_growth_peak_is_about_the_table(self):
+        # growth by arange, log, cumsum and concatenate peaked near 3 tables.
+        # VmHWM is the fresh interpreter's own peak; its ru_maxrss would
+        # start at this suite's, inherited through fork and exec
+        script = (
+            "import surpkit.surprise as s\n"
+            "def peak():\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith('VmHWM:'):\n"
+            "            return int(line.split()[1]) * 1024\n"
+            "before = peak()\n"
+            "s.ln_factorial(1_999_000)\n"
+            "print((peak() - before) / s._table.nbytes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surpkit.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 1.5
 
     def test_concurrent_growth_gives_the_one_shot_table(self):
         # threads growing the table to interleaved targets, through both
