@@ -59,19 +59,27 @@ def _naming(path, error=ValueError):
 
 
 def _check_outputs(args) -> None:
-    """Refuse an output path whose directory does not exist or that is a
-    directory itself, naming the flag.  Run before any input is read, so a
-    bad path costs no work and no other output is written."""
+    """Refuse an output path that is empty, whose directory does not exist,
+    that is a directory itself, or that an earlier output flag also names,
+    naming the flag.  Run before any input is read, so a bad path costs no
+    work and no other output is written."""
+    taken: dict[str, str] = {}  # resolved path -> the flag that names it
     for dest in ("out", "out_edges", "out_truth"):
         path = getattr(args, dest, None)
         if path is None:
             continue
         flag = "--" + dest.replace("_", "-")
+        if not path:
+            raise ValueError(f"{flag}: empty path")
         if os.path.isdir(path):
             raise ValueError(f"{flag} {path}: is a directory")
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise ValueError(f"{flag} {path}: {parent} is not a directory")
+        resolved = os.path.realpath(path)
+        if resolved in taken:
+            raise ValueError(f"{flag} {path}: the same file as {taken[resolved]}")
+        taken[resolved] = flag
 
 
 def _read(load, path):
@@ -97,7 +105,7 @@ def cmd_detect(args) -> int:
         polished.stepper()
         if polished.S > state.S:
             state = polished
-    if args.out:
+    if args.out is not None:
         save_partition(state.partition, args.out)
     _print_kv(
         K=graph.K,

@@ -7,6 +7,9 @@ sub-community (found by running the greedy loop recursively on the
 subgraph induced by one community).  A move is accepted in greedy mode
 only when it strictly increases the surprise; the main loop applies the
 moves systematically to exhaustion, so it terminates at a local maximum.
+It settles the node moves first: passes of merges, exchanges and
+extractions until one applies nothing, then passes of all five moves
+until one applies nothing (argument in stepper()).
 
 All five moves are one operation: move a node set out of its community
 src into a community dst, or into a new one.  _delta(nodes, src, dst)
@@ -53,15 +56,14 @@ destination, stays below S by a margin larger than the rounding, the
 sub-community moves of that community are rejected without the
 recursion: its plan is empty (argument in _certificate() and _plan()).
 Decisions, S bits and the rng stream are those of the recursing solve.
-Most certificates fail, so a test that needs no eigensolve runs first.
-For a graph that is not complete, Fiedler also bounds lambda_2 from
-above by the least internal degree, which the link table gives.  Taking
-the cut at that bound, the one-node blocks and their complements are
-priced at a few points; at a point at or past the hypergeometric pmf's
-mode the first-term bound does not fall as ell grows, so a point whose
-bound exceeds S itself proves that the full test, with the Laplacian's
-lambda_2, fails too.  Every certificate returns what the full test
-alone returns, bit for bit.
+A test that needs no eigensolve runs first.  For a graph that is not
+complete, Fiedler also bounds lambda_2 from above by the least internal
+degree, which the link table gives.  Taking the cut at that bound, the
+one-node blocks and their complements are priced at a few points; at a
+point at or past the hypergeometric pmf's mode the first-term bound does
+not fall as ell grows, so a point whose bound exceeds S itself proves
+that the full test, with the Laplacian's lambda_2, fails too.  Every
+certificate returns what the full test alone returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -429,11 +431,11 @@ class SurpriseState:
         within TIE_EPS of it.  The errors scale with the table entries, not
         with S, which can be far smaller than ln F! early in a solve.
 
-        Failing fast.  Most certificates fail, so a test that needs no
-        Laplacian and no eigvalsh runs first, and returns None only where
-        the test above would.  A member with no link inside cid makes the
-        subgraph disconnected: lambda_2 is 0 and eigvalsh's value, less
-        2e-9*dmax, is at most 0.0, so the test above returns None.
+        Failing fast.  A test that needs no Laplacian and no eigvalsh runs
+        first, and returns None only where the test above would.  A member
+        with no link inside cid makes the subgraph disconnected: lambda_2
+        is 0 and eigvalsh's value, less 2e-9*dmax, is at most 0.0, so the
+        test above returns None.
         Otherwise, for a subgraph that is not complete, Fiedler also gives
         lambda_2 <= v(G) <= delta_min, the least internal degree (v(G) is
         the vertex connectivity).  So at b = 1 and at b = c - 1 the cut
@@ -640,13 +642,32 @@ class SurpriseState:
     def stepper(self) -> dict[str, int]:
         """Greedy loop over all moves until none improves the surprise.
 
-        For every community: for every member, for every neighbor in another
-        community, try to merge the two communities and on failure to
-        exchange a node between them; then extract nodes to exhaustion, then
-        extract sub-communities to exhaustion, then exchange sub-communities
-        with every other community to exhaustion.  Repeats while anything
-        was accepted.  A merge or exchange already rejected since the last
-        applied move is not tried again (see the module docstring).
+        A pass visits every community: for every member, for every neighbor
+        in another community, try to merge the two communities and on
+        failure to exchange a node between them; then extract nodes to
+        exhaustion, then extract sub-communities to exhaustion, then
+        exchange sub-communities with every other community to exhaustion.
+        A merge or exchange already rejected since the last applied move is
+        not tried again (see the module docstring).
+
+        The passes run in two phases.  Phase 1 leaves out the two
+        sub-community moves and repeats until a pass applies nothing; phase
+        2 makes all five and repeats until a pass applies nothing.  So the
+        recursion runs on communities the node moves have settled: in the
+        first passes most communities are still being built, and a block
+        found in one is rarely applied.  Louvain likewise moves nodes to
+        convergence before it aggregates (Blondel et al., J. Stat. Mech.
+        P10008, 2008), and Leiden refines only after that (Traag, Waltman &
+        van Eck, Sci. Rep. 9:5233, 2019).  Only the order of the moves
+        changes.  The loop still ends on a pass of all five that applied
+        nothing, so no single move of the five raises S by more than
+        TIE_EPS.  Recursive sub-states call stepper() and run the same two
+        phases.
+
+        _rejected is not cleared when phase 2 begins.  Phase 1 ends with a
+        pass that applied nothing, and only an applied move changes the
+        state, so every entry still names a move priced and rejected in
+        the current state.
 
         Each member of the snapshot sorted(p.comms[ci]) is still in ci at
         its turn: a merge brings cj into ci (re-read after a renumbering),
@@ -662,8 +683,9 @@ class SurpriseState:
         kernel evaluations are those of the loop that makes every call.
 
         sub_extract(ci) is not called when ci's plan holds only singleton
-        blocks.  When ci keeps two or more nodes, the extract pass before
-        it has ended with a sweep that rejected every node of ci: the pass
+        blocks.  In phase 2, as in phase 1, the extract pass runs in ci's
+        turn just before it.  When ci keeps two or more nodes, that pass
+        has ended with a sweep that rejected every node of ci: the pass
         stops only on such a sweep or when ci is down to one node.  That
         sweep priced extract(u) for every u in ci and applied nothing, so
         the state is the one it priced.  A singleton block {u} is priced as
@@ -692,6 +714,7 @@ class SurpriseState:
         counts = {kind: 0 for kind in MOVE_KINDS}
         p = self.partition
         rejected = self._rejected
+        sub_moves = False  # phase 1: merge, exchange and extract only
         while True:
             applied = sum(counts.values())
             ci = 0
@@ -727,6 +750,9 @@ class SurpriseState:
                             counts["extract"] += 1
                     if counts["extract"] == extracted:
                         break
+                if not sub_moves:
+                    ci += 1
+                    continue
                 # sub-community extraction to exhaustion.  While ci keeps two
                 # or more nodes, the extract pass has just ended with a sweep
                 # that rejected every node, and a plan of singleton blocks
@@ -753,7 +779,9 @@ class SurpriseState:
                         break
                 ci += 1
             if sum(counts.values()) == applied:
-                return counts
+                if sub_moves:
+                    return counts
+                sub_moves = True  # phase 2: all five moves
 
     def anneal_step(self, T: float) -> int:
         """One Monte-Carlo sweep (K random move proposals) at temperature T.

@@ -709,6 +709,49 @@ def test_bad_output_path_refused_first(capsys, tmp_path, toy_edges, command, fla
     assert [p for p in out_dir.rglob("*") if not p.is_dir()] == []
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["detect", "--graph", "{toy}", "--out", ""], "--out"),
+        (["bench", "our", "--ncliques", "4", "--pielou", "0.85", "--nodes", "100",
+          "--out-edges", "", "--out-truth", "truth.txt"], "--out-edges"),
+        (["bench", "our", "--ncliques", "4", "--pielou", "0.85", "--nodes", "100",
+          "--out-edges", "edges.txt", "--out-truth", ""], "--out-truth"),
+        (["bench", "rc", "--graph", "{toy}", "--R", "10", "--out", ""], "--out"),
+        (["landscape", "embed", "--dist", "{dist}", "--out", ""], "--out"),
+        (["landscape", "walk", "--values", "{values}", "--dist", "{dist}", "--out", ""], "--out"),
+    ],
+    ids=["detect", "bench-our-edges", "bench-our-truth", "bench-rc", "landscape-embed", "landscape-walk"],
+)
+def test_empty_output_path_refused_first(capsys, tmp_path, monkeypatch, toy_edges, argv, flag):
+    # detect used to solve and exit 0 having written nothing, and landscape
+    # embed to embed and then fail naming no flag
+    from surpkit.embedding import save_distance_matrix
+
+    dist, values = tmp_path / "dist.txt", tmp_path / "values.txt"
+    save_distance_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]), dist)
+    values.write_text("0\n1\n2\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    monkeypatch.chdir(out_dir)
+    code, err = refusal(capsys, *(a.format(toy=toy_edges, dist=dist, values=values) for a in argv))
+    assert code == 1 and err == f"error: {flag}: empty path\n"
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", ["same.txt", "./same.txt", "{dir}/same.txt"])
+def test_bench_our_outputs_must_differ(capsys, tmp_path, monkeypatch, spelling):
+    # the truth used to overwrite the edge list, with exit status 0
+    monkeypatch.chdir(tmp_path)
+    truth = spelling.format(dir=tmp_path)
+    code, err = refusal(
+        capsys, "bench", "our", "--ncliques", 4, "--pielou", 0.85, "--nodes", 100,
+        "--out-edges", "same.txt", "--out-truth", truth,
+    )
+    assert code == 1 and err == f"error: --out-truth {truth}: the same file as --out-edges\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestValueFiles:
     """mle --samples and landscape walk --values refuse a file with no
     numbers, or a non-finite one, in one line that names the file."""

@@ -68,8 +68,26 @@ def sparse_random_case(seed):
 
 
 def reference_stepper(state):
-    """stepper() as it was before the rejected-move set, through the public moves only."""
+    """stepper() as it was before the rejected-move set, through the public moves only.
+
+    Passes of merge, exchange and extract until one applies nothing, then
+    passes of all five moves until one applies nothing.
+    """
     counts = {kind: 0 for kind in MOVE_KINDS}
+    reference_passes(state, counts, sub_moves=False)
+    reference_passes(state, counts, sub_moves=True)
+    return counts
+
+
+def interleaved_reference_stepper(state):
+    """stepper() before it settled the node moves first: passes of all five moves from the start."""
+    counts = {kind: 0 for kind in MOVE_KINDS}
+    reference_passes(state, counts, sub_moves=True)
+    return counts
+
+
+def reference_passes(state, counts, sub_moves):
+    """Greedy passes until one applies nothing; the sub-community moves only when ``sub_moves``."""
     p = state.partition
     changed = True
     while changed:
@@ -110,6 +128,9 @@ def reference_stepper(state):
                         counts["extract"] += 1
                         changed = True
                         success = True
+            if not sub_moves:
+                ci += 1
+                continue
             while len(p.comms[ci]) > 1 and state.sub_extract(ci).accepted:
                 counts["sub_extract"] += 1
                 changed = True
@@ -124,7 +145,6 @@ def reference_stepper(state):
                         changed = True
                         success = True
             ci += 1
-    return counts
 
 
 def recursion_blocks(graph, members, rng):
@@ -587,6 +607,15 @@ class TestStepper:
         assert state.graph.K == 63 and state.verify()
         assert all(dS <= 1e-12 for _, dS in reference_deltas(state))
 
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions(), st.integers(0, 2 ** 16))
+    def test_fixed_point_from_any_start(self, gp, seed):
+        # phase 2 ends with a pass of all five moves that applies nothing
+        state = SurpriseState(*gp, rng=seed)
+        state.stepper()
+        assert state.verify()
+        assert all(dS <= TIE_EPS for _, dS in reference_deltas(state))
+
     @settings(max_examples=15, deadline=None)
     @given(random_graphs(max_k=8))
     def test_never_beats_enumeration(self, g):
@@ -883,7 +912,10 @@ class TestRejectedMoves:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_on_degraded_benchmark(self, seed):
         fast, ref = self.assert_same_run(degraded_k63(seed), seed=seed)
-        assert 0 < fast["sub_extract"] < ref["sub_extract"]
+        assert fast["sub_extract"] < ref["sub_extract"]
+        # seed 0 settles its cliques in phase 1, so that no plan holds a
+        # block of two or more nodes; seeds 1-4 call sub_extract
+        assert (fast["sub_extract"] > 0) == (seed != 0)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_reference_on_sparse_random_cases(self, seed):
@@ -920,7 +952,40 @@ class TestRejectedMoves:
         assert reference_stepper(ref) == counts
         assert fast.partition.assign == ref.partition.assign
         assert fast.S == ref.S
-        assert 0 < fast_calls < len(calls) - fast_calls
+        assert fast_calls < len(calls) - fast_calls
+        # at seed 0 every plan is empty or holds single nodes whose
+        # exchanges were just rejected, so no target is left; seed 1 has some
+        assert (fast_calls > 0) == (seed != 0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_surprise_as_interleaved_order(self, seed):
+        # the loop that ran all five moves from the first pass, at every
+        # level of the recursion, reaches the same S bits
+        g = degraded_k63(seed)
+        _, fast, _ = counted_run(g, None, seed, SurpriseState.stepper)
+        _, old, _ = counted_run(g, None, seed, interleaved_reference_stepper)
+        assert fast.S.hex() == old.S.hex()
+        assert fast.verify() and old.verify()
+
+    def test_clean_cliques_need_no_sub_moves(self, monkeypatch):
+        # every block of an undegraded clique is a single node whose
+        # exchanges and extraction phase 1 ended rejecting
+        sizes = pielouer_nodes(8, 0.85, (120, 120), rng=sub_rng(0, "bench.sizes"))
+        g = build_benchmark(sizes, 0.05, rng=sub_rng(0, "bench.build")).graph
+        fast, ref = self.assert_same_run(g)
+        assert fast["sub_extract"] == 0 < ref["sub_extract"]
+        calls = []
+        sub_exchange = SurpriseState.sub_exchange
+
+        def counted(state, cid, cTo):
+            calls.append((cid, cTo))
+            return sub_exchange(state, cid, cTo)
+
+        monkeypatch.setattr(SurpriseState, "sub_exchange", counted)
+        SurpriseState(g).stepper()
+        assert calls == []
+        reference_stepper(SurpriseState(g))
+        assert calls
 
 
 def every_block_move(state, cid):
@@ -1091,7 +1156,10 @@ class TestFastCertificate:
     def test_matches_reference_on_degraded_benchmark(self, seed):
         with certificates_against_reference() as bounds:
             SurpriseState(degraded_k63(seed), rng=seed).stepper()
-        assert any(bound is None for bound in bounds) and any(bound is not None for bound in bounds)
+        assert any(bound is not None for bound in bounds)
+        # seed 0 settles its cliques in phase 1, so every certificate holds;
+        # at seed 1 some fail
+        assert any(bound is None for bound in bounds) == (seed != 0)
 
     def test_fails_fast_on_degraded_benchmark(self, monkeypatch):
         calls = Counter()
@@ -1107,8 +1175,13 @@ class TestFastCertificate:
 
         monkeypatch.setattr(SurpriseState, "_certificate", counted_certificate)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        SurpriseState(degraded_k63(0), rng=0).stepper()
-        assert 0 < calls["eigvalsh"] < calls["certificate"]
+        # at seed 0 every certificate holds, so each needs its eigensolve;
+        # at seed 1 one fails with no eigensolve
+        for seed, fails_fast in ((0, False), (1, True)):
+            calls.clear()
+            SurpriseState(degraded_k63(seed), rng=seed).stepper()
+            assert 0 < calls["eigvalsh"] <= calls["certificate"]
+            assert (calls["eigvalsh"] < calls["certificate"]) == fails_fast
 
     def test_member_without_internal_link_needs_no_eigensolve(self, monkeypatch):
         # node 3 links only out of its community {0, 1, 2, 3}
@@ -1135,8 +1208,14 @@ class TestPaperScale:
         state = SurpriseState(net.graph, rng=sub_rng(0, "detect"))
         state.stepper()
         assert state.S.hex() == "0x1.9b7ec1c6157cep+13"
-        digest = hashlib.sha256("".join(f"{c}\n" for c in state.partition.assign).encode()).hexdigest()
-        assert digest == "5aabe873a564f1285da08468a208c04d58498e32255f105484879265133380b5"
+
+        def digest(assign):
+            return hashlib.sha256("".join(f"{c}\n" for c in assign).encode()).hexdigest()
+
+        # the file `detect --out` writes, community ids included
+        assert digest(state.partition.assign) == "d40b554c3821915f54a9c739c3723ec72d038961bf3c397a9cada0053d539af2"
+        # the partition up to its ids, the same since before the two-phase order
+        assert digest(state.partition.canonical()) == "95d44b1d0ba918005b96b13933e0a835ad512755bff10f56770c5b0fb038c11a"
 
 
 class TestMoveOutcome:
