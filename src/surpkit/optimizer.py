@@ -27,17 +27,37 @@ stepper() and every sub-community search do, reads the table straight
 from the adjacency (node u's community is u) with M = ell = 0; a state
 given a partition counts it over every edge.
 
-The greedy loop does not repeat a merge or an exchange it has seen
-rejected since the last applied move.  This is exact: a merge of cA and
-cB has dM = sA*sB and dell = the edges between the pair, both symmetric
-in the pair, and an exchange's delta depends only on the node, its
-community and the target.  Until a move is applied none of these
-changes, so a repeated call would price the same (M, ell) and be
-rejected again.  Applying any move clears the record, which also covers
-the renumbering of community ids.  By the same argument stepper() leaves
-out a sub-community extraction or exchange whose every block either
-repeats an extraction or exchange just rejected in the current state or
-is one sub_exchange would skip unpriced (argument in stepper()).
+The greedy loop does not repeat a merge, an exchange or an extraction
+it has seen rejected since the last applied move.  This is exact: a
+merge of cA and cB has dM = sA*sB and dell = the edges between the pair,
+both symmetric in the pair, an exchange's delta depends only on the
+node, its community and the target, and extracting u from a community
+of c nodes has dM = 1 - c and dell = minus u's links into it.  Until a
+move is applied none of these changes, so a repeated call would price
+the same (M, ell) and be rejected again.  Applying any move clears the
+record, which also covers the renumbering of community ids.  By the same
+argument stepper() leaves out a sub-community extraction or exchange
+whose every block either repeats an extraction or exchange just rejected
+in the current state or is one sub_exchange would skip unpriced
+(argument in stepper()).
+
+Merges, exchanges and extractions price only a move that could be
+accepted.  Surprise is -ln of a hypergeometric upper tail (Aldecoa &
+Marin, PLoS ONE 6:e24195, 2011), and a tail is at least its first term,
+so -ln pmf(ell), first_term_bound(), bounds S from above.  On a memo
+miss whose term loop would run (ell < min(M, n)), _greedy() takes bound
+= max(first_term_bound(F, M, n, ell), 0.0) and rejects the move unpriced
+when not (bound - S > TIE_EPS), the acceptance test's own expression.
+This is exact, bit for bit.  The kernel returns -((lt0 + mx) + ln acc),
+clamped at 0.0, with mx >= 0 and acc >= 1, and its lt0 is bit for bit
+-first_term_bound().  Round-to-nearest addition and subtraction are
+monotone, so the kernel's S_new <= bound and fl(S_new - S) <= fl(bound -
+S) <= TIE_EPS: no margin is needed, at any size of S.  Where ell =
+min(M, n) the loop is empty and the kernel returns exactly bound, so
+that move is priced as before.  A screened move memoizes nothing and
+draws nothing from the rng, so decisions, S bits and the rng stream are
+those of exact pricing.  _block_scan(), _plan(), shake() and the
+annealer price every move exactly.
 
 A community whose induced subgraph is complete or edgeless has its
 singletons as sub-communities, found without recursing.  Such a subgraph
@@ -78,7 +98,7 @@ import numpy as np
 
 from surpkit.graph import Graph
 from surpkit.partition import Partition
-from surpkit.surprise import first_term_bound, ln_factorial, partition_stats, surprise
+from surpkit.surprise import check_feasible, first_term_bound, ln_factorial, partition_stats, surprise
 
 # strict-improvement threshold; exact ties are handled by shake()
 TIE_EPS = 1e-12
@@ -88,6 +108,11 @@ MOVE_KINDS = ("merge", "exchange", "extract", "sub_extract", "sub_exchange")
 
 class MoveOutcome(NamedTuple):
     """What one greedy move did: applied or not, its deltaS, and its kind.
+
+    An applied move's deltaS is exact.  A rejected move's deltaS may be an
+    upper bound on it, at most TIE_EPS: a merge, exchange or extraction
+    rejected on its first-term bound reports bound - S, and a sub-community
+    move the bound of _block_scan().
 
     A named tuple: the greedy loop builds one per priced move, and a tuple
     is the cheapest immutable record to build.
@@ -140,7 +165,8 @@ class SurpriseState:
         self._S_memo: dict[tuple[int, int], float] = {}
         # sub-block plans by community id, valid until the next applied move
         self._plans: dict[int, list[_SubBlock]] = {}
-        # merges and exchanges stepper() saw rejected since the last applied move
+        # merges, exchanges and extractions stepper() saw rejected since the
+        # last applied move
         self._rejected: set[tuple] = set()
         # links of each node into each community; zero counts are dropped
         if partition is None:
@@ -286,9 +312,26 @@ class SurpriseState:
         self._rejected.clear()
 
     def _greedy(self, kind: str, nodes: Collection[int], src: int, dst: int | None) -> MoveOutcome:
-        """Apply the move when it raises the surprise by more than TIE_EPS."""
+        """Apply the move when it raises the surprise by more than TIE_EPS.
+
+        A move whose (M, ell) misses the memo and whose tail has more than
+        one term is first screened by the first-term bound, and rejected
+        unpriced when the bound itself does not clear TIE_EPS (argument in
+        the module docstring).  Its deltaS is then bound - S: at least the
+        kernel's deltaS and at most TIE_EPS, as _block_scan()'s deltaS is
+        an upper bound on rejection.  Nothing is memoized for it.
+        """
         dM, dell = self._delta(nodes, src, dst)
-        S_new = self._S_at(self.M + dM, self.ell + dell)
+        M, ell = self.M + dM, self.ell + dell
+        S_new = self._S_memo.get((M, ell))
+        if S_new is None:
+            F, n = self.graph.F, self.graph.n
+            if ell < min(M, n):
+                check_feasible(F, M, n, ell)
+                bound = max(first_term_bound(F, M, n, ell), 0.0)
+                if not (bound - self.S > TIE_EPS):
+                    return MoveOutcome(False, bound - self.S, kind)
+            S_new = self._S_at(M, ell)
         dS = S_new - self.S
         if dS > TIE_EPS:
             self._move(nodes, src, dst, dM, dell, S_new)
@@ -647,8 +690,8 @@ class SurpriseState:
         failure to exchange a node between them; then extract nodes to
         exhaustion, then extract sub-communities to exhaustion, then
         exchange sub-communities with every other community to exhaustion.
-        A merge or exchange already rejected since the last applied move is
-        not tried again (see the module docstring).
+        A merge, exchange or extraction already rejected since the last
+        applied move is not tried again (see the module docstring).
 
         The passes run in two phases.  Phase 1 leaves out the two
         sub-community moves and repeats until a pass applies nothing; phase
@@ -678,19 +721,25 @@ class SurpriseState:
         known: every pricing skipped has the same (dM, dell) as a move
         already priced and rejected in the current state, or its block is
         one sub_exchange would skip unpriced.  A skipped call would apply
-        nothing and draw nothing from the rng, and every value it would
-        price is already in the memo, so decisions, the rng stream and the
-        kernel evaluations are those of the loop that makes every call.
+        nothing and draw nothing from the rng, so decisions and the rng
+        stream are those of the loop that makes every call.  Its kernel
+        evaluations are a sub-multiset of that loop's.  A skipped merge,
+        exchange or extraction would hit the memo or be rejected on its
+        first-term bound again.  A skipped sub_exchange would price its
+        one-node blocks exactly, and where such a block repeats an exchange
+        that was rejected on its bound, which memoizes nothing, the loop
+        that makes every call evaluates the kernel once more.
 
         sub_extract(ci) is not called when ci's plan holds only singleton
         blocks.  In phase 2, as in phase 1, the extract pass runs in ci's
         turn just before it.  When ci keeps two or more nodes, that pass
         has ended with a sweep that rejected every node of ci: the pass
         stops only on such a sweep or when ci is down to one node.  That
-        sweep priced extract(u) for every u in ci and applied nothing, so
-        the state is the one it priced.  A singleton block {u} is priced as
-        _delta({u}, ci, None), the (dM, dell) of extract(u), and is
-        rejected again.  The plan is built where sub_extract would build
+        sweep rejected extract(u) for every u in ci, or skipped it as in
+        _rejected, that is as priced and rejected in the current state, and
+        applied nothing, so the state is the one those rejections priced.
+        A singleton block {u} is priced as _delta({u}, ci, None), the (dM,
+        dell) of extract(u), and is rejected again.  The plan is built where sub_extract would build
         it, so the recursion draws from the rng in the same order.
 
         sub_exchange(ci, cj) is called only for the targets _sub_targets
@@ -746,8 +795,11 @@ class SurpriseState:
                 while len(p.comms[ci]) > 1:
                     extracted = counts["extract"]
                     for node in sorted(p.comms[ci]):
-                        if len(p.comms[ci]) > 1 and self.extract(node).accepted:
-                            counts["extract"] += 1
+                        if len(p.comms[ci]) > 1 and ("extract", node) not in rejected:
+                            if self.extract(node).accepted:
+                                counts["extract"] += 1
+                            else:
+                                rejected.add(("extract", node))
                     if counts["extract"] == extracted:
                         break
                 if not sub_moves:

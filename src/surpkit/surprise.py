@@ -82,6 +82,18 @@ def ln_choose(m: int, k: int) -> float:
     return ln_factorial(m) - ln_factorial(k) - ln_factorial(m - k)
 
 
+def check_feasible(F: int, M: int, n: int, ell: int) -> None:
+    """Raise ValueError unless (F, M, n, ell) is a feasible surprise() argument."""
+    if not (0 <= M <= F):
+        raise ValueError(f"need 0 <= M <= F, got M={M}, F={F}")
+    if not (0 <= n <= F):
+        raise ValueError(f"need 0 <= n <= F, got n={n}, F={F}")
+    if not (0 <= ell <= min(M, n)):
+        raise ValueError(f"need 0 <= ell <= min(M, n), got ell={ell}, M={M}, n={n}")
+    if n - ell > F - M:
+        raise ValueError(f"infeasible: n - ell = {n - ell} exceeds F - M = {F - M}")
+
+
 def surprise(F: int, M: int, n: int, ell: int) -> float:
     """Surprise of a partition summarized by (F, M, n, ell).
 
@@ -92,14 +104,7 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
 
     Returns -ln sum_{j=ell}^{min(M,n)} C(M,j) C(F-M,n-j) / C(F,n), always >= 0.
     """
-    if not (0 <= M <= F):
-        raise ValueError(f"need 0 <= M <= F, got M={M}, F={F}")
-    if not (0 <= n <= F):
-        raise ValueError(f"need 0 <= n <= F, got n={n}, F={F}")
-    if not (0 <= ell <= min(M, n)):
-        raise ValueError(f"need 0 <= ell <= min(M, n), got ell={ell}, M={M}, n={n}")
-    if n - ell > F - M:
-        raise ValueError(f"infeasible: n - ell = {n - ell} exceeds F - M = {F - M}")
+    check_feasible(F, M, n, ell)
 
     jmax = min(M, n)
     # ln(j) and ln(n-j+1) come from the list, and ln(M-j+1) too when M <= n;
@@ -110,7 +115,7 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
         logs = _logs
     logs_M = logs if M <= n else None
     # log of the first term, j = ell: ln_choose's nine table reads in
-    # ln_choose's order, so the bits are its own; the checks above keep
+    # ln_choose's order, so the bits are its own; check_feasible keeps
     # every index in [0, F].  A memoryview item is the same float as
     # _table.item's, read without a method call
     t = memoryview(_table)
@@ -153,7 +158,8 @@ def first_term_bound(F: int, M: int | np.ndarray, n: int, ell: int | np.ndarray)
     adds the non-negative mx and ln(acc) to lt0 before negating.  Two ints
     give one float, read through a memoryview as the kernel reads it, and
     it is the entry an array holding them would give.  Every (M, ell) must
-    be feasible, as surprise() requires.
+    be feasible, as surprise() requires; nothing here checks that, so a
+    caller that cannot vouch for its arguments runs check_feasible() first.
     """
     if F >= _table.size:
         _grow(F, 0)

@@ -860,26 +860,40 @@ def counted_run(g, p, seed, loop):
     """Run ``loop`` as every state's stepper(), the recursion's too, counting
     kernel evaluations and sub_extract calls.
 
-    Returns the acceptance counts, the state and the call counts.
+    Returns the acceptance counts, the state, the call counts, the kernel
+    evaluations as a Counter of their (F, M, n, ell), and the set of (F, M,
+    n, ell) that a merge, exchange or extraction was rejected at on its
+    first-term bound, unpriced: rejected with nothing memoized.
     """
-    calls = Counter()
-    kernel, sub_extract = optimizer_module.surprise, SurpriseState.sub_extract
+    calls, kernel_args, screened = Counter(), Counter(), set()
+    kernel, sub_extract, greedy = optimizer_module.surprise, SurpriseState.sub_extract, SurpriseState._greedy
 
     def counted_kernel(*args):
         calls["surprise"] += 1
+        kernel_args[args] += 1
         return kernel(*args)
 
     def counted_sub_extract(state, cid):
         calls["sub_extract"] += 1
         return sub_extract(state, cid)
 
+    def watched_greedy(state, kind, nodes, src, dst):
+        out = greedy(state, kind, nodes, src, dst)
+        if not out.accepted:  # the state is the one it priced
+            dM, dell = state._delta(nodes, src, dst)
+            M, ell = state.M + dM, state.ell + dell
+            if (M, ell) not in state._S_memo:
+                screened.add((state.graph.F, M, state.graph.n, ell))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer_module, "surprise", counted_kernel)
         mp.setattr(SurpriseState, "sub_extract", counted_sub_extract)
+        mp.setattr(SurpriseState, "_greedy", watched_greedy)
         mp.setattr(SurpriseState, "stepper", loop)
         state = SurpriseState(g, p, rng=seed)
         counts = state.stepper()
-    return counts, state, calls
+    return counts, state, calls, kernel_args, screened
 
 
 class TestRejectedMoves:
@@ -889,14 +903,23 @@ class TestRejectedMoves:
 
     @staticmethod
     def assert_same_run(g, p=None, seed=0):
-        """Same counts, assignment and S, and the same kernel evaluations:
-        the left-out calls would price only values the memo holds."""
-        counts, fast, fast_calls = counted_run(g, p, seed, SurpriseState.stepper)
-        ref_counts, ref, ref_calls = counted_run(g, p, seed, reference_stepper)
+        """Same counts, assignment and S, and the reference's kernel
+        evaluations less those the screen saved: the left-out calls would
+        price only values the memo holds or the screen rejects.
+
+        The reference's sub_exchange prices its one-node blocks exactly
+        (see _block_scan()), among them exchanges whose (M, ell) stepper()
+        rejected on the first-term bound, which memoizes nothing.  So its
+        kernel evaluations hold stepper()'s, and each extra one is such an
+        (M, ell).
+        """
+        counts, fast, fast_calls, fast_kernel, screened = counted_run(g, p, seed, SurpriseState.stepper)
+        ref_counts, ref, ref_calls, ref_kernel, _ = counted_run(g, p, seed, reference_stepper)
         assert counts == ref_counts
         assert fast.partition.assign == ref.partition.assign
         assert fast.S == ref.S
-        assert fast_calls["surprise"] == ref_calls["surprise"]
+        assert fast_kernel <= ref_kernel  # a sub-multiset
+        assert set(ref_kernel - fast_kernel) <= screened
         return fast_calls, ref_calls
 
     @settings(max_examples=60, deadline=None)
@@ -962,8 +985,8 @@ class TestRejectedMoves:
         # the loop that ran all five moves from the first pass, at every
         # level of the recursion, reaches the same S bits
         g = degraded_k63(seed)
-        _, fast, _ = counted_run(g, None, seed, SurpriseState.stepper)
-        _, old, _ = counted_run(g, None, seed, interleaved_reference_stepper)
+        _, fast, *_ = counted_run(g, None, seed, SurpriseState.stepper)
+        _, old, *_ = counted_run(g, None, seed, interleaved_reference_stepper)
         assert fast.S.hex() == old.S.hex()
         assert fast.verify() and old.verify()
 
@@ -986,6 +1009,84 @@ class TestRejectedMoves:
         assert calls == []
         reference_stepper(SurpriseState(g))
         assert calls
+
+
+def greedy_moves(state):
+    """Every legal public merge, exchange and extraction of the state, as
+    (method name, args, (nodes, src, dst)) with the move _delta() prices."""
+    p = state.partition
+    moves = [("merge", (cA, cB), (p.comms[cB], cB, cA)) for cA in range(p.Nc) for cB in range(cA + 1, p.Nc)]
+    for node in range(state.graph.K):
+        src = p.assign[node]
+        if len(p.comms[src]) > 1:
+            moves += [("exchange", (node, cTo), ((node,), src, cTo)) for cTo in range(p.Nc) if cTo != src]
+            moves.append(("extract", (node,), ((node,), src, None)))
+    return moves
+
+
+class TestFirstTermScreen:
+    """merge, exchange and extract reject a move on its first-term bound
+    without pricing it.  stepper() and reference_stepper both go through
+    that screen, so here every move is checked against its exact price."""
+
+    @staticmethod
+    def check_every_move(g, p):
+        """Run each public merge, exchange and extraction on a fresh copy of
+        the state (g, p), whose memo is empty.  Returns how many of them the
+        screen rejected unpriced."""
+        base = SurpriseState(g, p)
+        screened = 0
+        for name, args, (nodes, src, dst) in greedy_moves(base):
+            dM, dell = base._delta(nodes, src, dst)
+            M, ell = base.M + dM, base.ell + dell
+            exact = base._S_at(M, ell) - base.S
+            state = SurpriseState(g, p)
+            out = getattr(state, name)(*args)
+            assert out.accepted == (exact > TIE_EPS)
+            if out.accepted:
+                assert out.deltaS.hex() == exact.hex()
+                assert state.S == base._S_at(M, ell) and state.verify()
+            else:
+                assert exact <= out.deltaS <= TIE_EPS
+                assert state.partition.assign == base.partition.assign
+                screened += (M, ell) not in state._S_memo
+            # a bound is never memoized as a price
+            assert all(S == surprise(g.F, Mk, g.n, ellk) for (Mk, ellk), S in state._S_memo.items())
+        return screened
+
+    def test_infeasible_move_still_raises(self, toy):
+        # the screen runs the kernel's feasibility checks before its bound,
+        # which checks nothing: a corrupted ell puts the extraction's new
+        # ell below 0, and a corrupted S would have the bound reject it
+        state = SurpriseState(toy, Partition([0] * toy.K))
+        state.ell, state.S = 0, math.inf
+        with pytest.raises(ValueError, match="need 0 <= ell <= min"):
+            state.extract(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions(max_k=9, max_nc=4))
+    def test_exact_from_any_state(self, gp):
+        self.check_every_move(*gp)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact_on_mid_solve_states(self, seed):
+        # three states of one solve, the last its optimum; in each the
+        # screen rejects some move unpriced
+        g = degraded_k63(seed)
+        snapshots = []
+        commit = SurpriseState._commit
+
+        def recording_commit(state, dM, dell, S_new):
+            commit(state, dM, dell, S_new)
+            if state.graph is g:
+                snapshots.append(state.partition.copy())
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SurpriseState, "_commit", recording_commit)
+            SurpriseState(g, rng=seed).stepper()
+        third = len(snapshots) // 3
+        for p in (snapshots[third], snapshots[2 * third], snapshots[-1]):
+            assert self.check_every_move(g, p) > 0
 
 
 def every_block_move(state, cid):
@@ -1073,7 +1174,7 @@ class TestCertificate:
     @staticmethod
     def solve(g, seed, context):
         with context:
-            counts, state, calls = counted_run(g, None, seed, SurpriseState.stepper)
+            counts, state, calls, *_ = counted_run(g, None, seed, SurpriseState.stepper)
             state.shake()
         return (counts, state.partition.assign, state.S.hex(), state.rng.bit_generator.state), calls
 

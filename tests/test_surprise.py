@@ -87,6 +87,20 @@ def surprise_inputs(draw, max_F=60):
     return F, M, n, ell
 
 
+@st.composite
+def tail_inputs(draw, max_F=2_000_000, max_n=60_000):
+    """Feasible (F, M, n, ell) up to F = max_F, weighted towards the corners M
+    = 0, M = F, n = 0, n = F and ell at either end of its feasible range: ell
+    = min(M, n), and ell = 0 whenever n <= F - M.  n is capped at max_n, so
+    n = F is drawn only for F <= max_n."""
+    F = draw(st.integers(1, 100) | st.integers(1, max_F))
+    M = draw(st.sampled_from([0, F]) | st.integers(0, F))
+    n = min(draw(st.sampled_from([0, F]) | st.integers(0, F)), max_n)
+    lo, hi = max(0, n - (F - M)), min(M, n)
+    ell = draw(st.sampled_from([lo, hi]) | st.integers(lo, hi))
+    return F, M, n, ell
+
+
 class TestLnFactorial:
     def test_base_cases(self):
         assert ln_factorial(0) == 0.0
@@ -374,6 +388,24 @@ class TestKernelBits:
         lt0 = ln_choose(M, ell) + ln_choose(F - M, n - ell) - ln_choose(F, n)
         assert type(got) is float
         assert got.hex() == float(entry).hex() == (-lt0).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail_inputs())
+    @example((1_999_000, 52_975, 41_311, 31_881))  # the K=2000 recipe's optimum
+    @example((1_999_000, 52_975, 41_311, 0))
+    @example((1_999_000, 0, 41_311, 0))
+    @example((1_999_000, 1_999_000, 41_311, 41_311))
+    @example((60_000, 25_000, 60_000, 25_000))  # n = F forces ell = M
+    def test_kernel_at_most_its_first_term(self, args):
+        # the lemma behind the greedy moves' screen: the kernel returns
+        # -((lt0 + mx) + ln acc) clamped at 0.0, with mx >= 0 and acc >= 1,
+        # and rounding is monotone, so it is at most max(-lt0, 0.0); a
+        # one-term tail has mx = ln acc = 0.0, so it is exactly that
+        F, M, n, ell = args
+        got, bound = surprise(*args), max(first_term_bound(*args), 0.0)
+        assert got <= bound
+        if ell == min(M, n):
+            assert got == bound
 
     def test_concurrent_extension(self):
         F, M = 2_000_000, 700_000
