@@ -253,26 +253,6 @@ def build_benchmark(
     return BenchmarkNet(cliques, Partition(assign), edges, rng)
 
 
-def expected_counts(
-    cliques: Sequence[int], r: float, p: float, q: float
-) -> tuple[int, int, float, float]:
-    """(K, Nc, mean intra-clique links, mean inter-community links).
-
-    The intra mean is (1-p) sum C(c_i, 2); the inter mean is
-    q sum_{j<i} c_i c_j plus the singleton attachments r/(1-r) sum c_i.
-    """
-    cliques = list(cliques)
-    total = sum(cliques)
-    K = int(total / (1.0 - r))
-    Nc = len(cliques) + (K - total)
-    mean_in = (1.0 - p) * sum(c * (c - 1) / 2 for c in cliques)
-    cross_pairs = sum(
-        cliques[i] * cliques[j] for i in range(len(cliques)) for j in range(i)
-    )
-    mean_out = q * cross_pairs + r / (1.0 - r) * total
-    return K, Nc, mean_in, mean_out
-
-
 def rc_degrade(graph: Graph, R: float, rng: np.random.Generator | int | None = None) -> Graph:
     """Remove R% of the links, then rewire R% of the remainder.
 

@@ -36,10 +36,9 @@ of c nodes has dM = 1 - c and dell = minus u's links into it.  Until a
 move is applied none of these changes, so a repeated call would price
 the same (M, ell) and be rejected again.  Applying any move clears the
 record, which also covers the renumbering of community ids.  By the same
-argument stepper() leaves out a sub-community extraction or exchange
-whose every block either repeats an extraction or exchange just rejected
-in the current state or is one sub_exchange would skip unpriced
-(argument in stepper()).
+argument stepper() leaves out a sub-community exchange whose every block
+either repeats an exchange just rejected in the current state or is one
+sub_exchange would skip unpriced (argument in stepper()).
 
 Merges, exchanges and extractions price only a move that could be
 accepted.  Surprise is -ln of a hypergeometric upper tail (Aldecoa &
@@ -76,14 +75,6 @@ destination, stays below S by a margin larger than the rounding, the
 sub-community moves of that community are rejected without the
 recursion: its plan is empty (argument in _certificate() and _plan()).
 Decisions, S bits and the rng stream are those of the recursing solve.
-A test that needs no eigensolve runs first.  For a graph that is not
-complete, Fiedler also bounds lambda_2 from above by the least internal
-degree, which the link table gives.  Taking the cut at that bound, the
-one-node blocks and their complements are priced at a few points; at a
-point at or past the hypergeometric pmf's mode the first-term bound does
-not fall as ell grows, so a point whose bound exceeds S itself proves
-that the full test, with the Laplacian's lambda_2, fails too.  Every
-certificate returns what the full test alone returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -469,38 +460,14 @@ class SurpriseState:
         at most ln F! in size and off by a relative 2.8e-14 at F = 2e6
         (against mpmath; the error grows slowly with F), and a few
         roundings of the same size.  So margin = 1e-9*max(1, ln F!)
-        exceeds their total with room to spare,
-        and every block the kernel prices comes out below self.S, never
-        within TIE_EPS of it.  The errors scale with the table entries, not
-        with S, which can be far smaller than ln F! early in a solve.
+        exceeds their total with room to spare, and every block the kernel
+        prices comes out below self.S, never within TIE_EPS of it.  The
+        errors scale with the table entries, not with S, which can be far
+        smaller than ln F! early in a solve.
 
-        Failing fast.  A test that needs no Laplacian and no eigvalsh runs
-        first, and returns None only where the test above would.  A member
-        with no link inside cid makes the subgraph disconnected: lambda_2
-        is 0 and eigvalsh's value, less 2e-9*dmax, is at most 0.0, so the
-        test above returns None.
-        Otherwise, for a subgraph that is not complete, Fiedler also gives
-        lambda_2 <= v(G) <= delta_min, the least internal degree (v(G) is
-        the vertex connectivity).  So at b = 1 and at b = c - 1 the cut
-        ceil(lambda_2*(c - 1)/c) is at most ceil(delta_min*(c - 1)/c), an
-        integer; the test above's lambda_2, less 2e-9*dmax, is below the
-        true one by more than the product's rounding, so its computed
-        ceiling is at most that integer too.  A fast point takes that cut
-        with the exact links and M' of the test above at the same (b, T):
-        the largest member count into T at b = 1, the total less the
-        smallest at b = c - 1 (the smallest is 0 unless every member links
-        to T), and 0 for a new community, where both sizes are one point.
-        The clamp is monotone, so the test above's U at that point is at
-        least the fast U.  The pmf ratio pmf(k + 1)/pmf(k) = (M' - k)(n -
-        k)/((k + 1)(F - M' - n + k + 1)) is at most 1 exactly when (k +
-        1)(F + 2) >= (n + 1)(M' + 1), that is for every k at or past the
-        mode floor((n + 1)(M' + 1)/(F + 2)).  So when the fast U is at or
-        past the mode, -ln pmf at the test above's U is at least -ln pmf
-        at the fast U.  Both computed values are within the rounding above
-        of the exact ones, far below the margin, so a fast point whose
-        bound exceeds S itself puts the test above's bound above S -
-        margin, and it would return None too.  A complete community, whose
-        lambda_2 is c, skips the fast points; _plan() never asks for one.
+        A disconnected subgraph, such as one where a member has no link
+        inside cid, has lambda_2 = 0: eigvalsh's value, less 2e-9*dmax, is
+        at most 0.0, and the certificate fails.
         """
         p = self.partition
         comm = p.comms[cid]
@@ -515,21 +482,6 @@ class SurpriseState:
             for cj, k in row.items():
                 if cj != cid:
                     into.setdefault(cj, []).append(k)
-        dmin = min(deg)
-        if dmin == 0:
-            return None  # disconnected: a member leaves at no cost
-        F, n, M, ell, S = self.graph.F, self.graph.n, self.M, self.ell, self.S
-        if dmin < c - 1:
-            cut_hi = (dmin * (c - 1) + c - 1) // c
-            points = [(M + 1 - c, 0)]  # (M', links) of a new community
-            for cj, ks in into.items():
-                t = len(p.comms[cj])
-                points.append((M + t + 1 - c, max(ks)))
-                points.append((M + (c - 1) * (t - 1), sum(ks) - (min(ks) if len(ks) == c else 0)))
-            for Mp, links in points:
-                U = max(min(ell + links - cut_hi, Mp, n), 0, n - F + Mp)
-                if U >= (n + 1) * (Mp + 1) // (F + 2) and first_term_bound(F, Mp, n, U) > S:
-                    return None
         index = {u: i for i, u in enumerate(members)}
         adj = self.graph.adj
         lap = np.zeros((c, c))
@@ -547,7 +499,8 @@ class SurpriseState:
         if into:
             counts = -np.sort(-np.array([ks + [0] * (c - len(ks)) for ks in into.values()]), axis=1)
             links[1:] = np.cumsum(counts, axis=1)[:, : c - 1]
-        M = M + b * (t + b - c)
+        F, n, ell, S = self.graph.F, self.graph.n, self.ell, self.S
+        M = self.M + b * (t + b - c)
         U = np.minimum(ell + links - cut, np.minimum(M, n))
         U = np.maximum(U, np.maximum(0, n - F + M))
         best = float(first_term_bound(F, M, n, U).max())
@@ -557,10 +510,10 @@ class SurpriseState:
     def _plan(self, cid: int) -> list[_SubBlock]:
         """The proper sub-communities of cid in ascending order of their smallest node.
 
-        Built once per community and state: the sub_extract call and the
-        Nc sub_exchange calls that stepper() makes for one community share
-        it, and every applied move drops it.  Every caller asks for c >= 2
-        nodes.
+        Built once per community and state: in phase 2 stepper() calls
+        sub_extract for every community of c >= 2 nodes, and that call and
+        the sub_exchange calls for the same community share the plan.
+        Every applied move drops it.  Every caller asks for c >= 2 nodes.
 
         A complete or edgeless community takes the closed form.  For any
         other, when the memo has no answer, _certificate() runs before the
@@ -730,18 +683,6 @@ class SurpriseState:
         that was rejected on its bound, which memoizes nothing, the loop
         that makes every call evaluates the kernel once more.
 
-        sub_extract(ci) is not called when ci's plan holds only singleton
-        blocks.  In phase 2, as in phase 1, the extract pass runs in ci's
-        turn just before it.  When ci keeps two or more nodes, that pass
-        has ended with a sweep that rejected every node of ci: the pass
-        stops only on such a sweep or when ci is down to one node.  That
-        sweep rejected extract(u) for every u in ci, or skipped it as in
-        _rejected, that is as priced and rejected in the current state, and
-        applied nothing, so the state is the one those rejections priced.
-        A singleton block {u} is priced as _delta({u}, ci, None), the (dM,
-        dell) of extract(u), and is rejected again.  The plan is built where sub_extract would build
-        it, so the recursion draws from the rng in the same order.
-
         sub_exchange(ci, cj) is called only for the targets _sub_targets
         lists, in ascending order; after an applied move the list is
         rebuilt and the scan resumes after cj.  An applied sub-exchange
@@ -805,13 +746,9 @@ class SurpriseState:
                 if not sub_moves:
                     ci += 1
                     continue
-                # sub-community extraction to exhaustion.  While ci keeps two
-                # or more nodes, the extract pass has just ended with a sweep
-                # that rejected every node, and a plan of singleton blocks
-                # would repeat those extractions
-                if len(p.comms[ci]) > 1 and any(len(blk.nodes) > 1 for blk in self._plan(ci)):
-                    while len(p.comms[ci]) > 1 and self.sub_extract(ci).accepted:
-                        counts["sub_extract"] += 1
+                # sub-community extraction to exhaustion
+                while len(p.comms[ci]) > 1 and self.sub_extract(ci).accepted:
+                    counts["sub_extract"] += 1
                 # sub-community exchanges to exhaustion, over the candidate
                 # targets only
                 while len(p.comms[ci]) > 1:

@@ -1,7 +1,8 @@
 import pytest
 
-from surpkit.datasets import toy_graph, toy_truth
 from surpkit.exhaustive import best_partitions
+
+from testdata import toy_graph, toy_truth
 
 
 @pytest.fixture(scope="session")

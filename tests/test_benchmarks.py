@@ -4,16 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from surpkit.benchmarks import (
-    build_benchmark,
-    expected_counts,
-    pielouer,
-    pielouer_nodes,
-    rc_degrade,
-)
-from surpkit.datasets import toy_graph
-from surpkit.graph import Graph
+from surpkit.benchmarks import build_benchmark, pielouer, pielouer_nodes, rc_degrade
 from surpkit.metrics import pielou
+
+from testdata import expected_counts, toy_graph
 
 
 class TestPielouer:

@@ -9,9 +9,10 @@ import pytest
 
 import surpkit
 from surpkit.cli import main
-from surpkit.datasets import toy_graph, toy_truth
 from surpkit.graph import MAX_NODES, save_edge_list
 from surpkit.partition import load_partition, save_partition
+
+from testdata import toy_graph
 
 
 @pytest.fixture()

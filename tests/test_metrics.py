@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surpkit.datasets import disconnected_cliques
 from surpkit.graph import Graph
 from surpkit.metrics import FragmentationReport, fragmentation, modularity, pielou, vi
 from surpkit.partition import Partition
+
+from testdata import disconnected_cliques
 
 
 def partitions_of(K):

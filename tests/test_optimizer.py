@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from surpkit.benchmarks import build_benchmark, pielouer_nodes
 from surpkit.cli import sub_rng
-from surpkit.datasets import disconnected_cliques, toy_graph
 from surpkit.exhaustive import best_partitions
 from surpkit.graph import Graph
 from surpkit.optimizer import MOVE_KINDS, TIE_EPS, MoveOutcome, SurpriseState, sample_partitions
 from surpkit.partition import Partition
 from surpkit.surprise import first_term_bound, ln_factorial, partition_stats, surprise
+
+from testdata import disconnected_cliques
 
 optimizer_module = importlib.import_module("surpkit.optimizer")
 surprise_module = importlib.import_module("surpkit.surprise")
@@ -408,8 +410,8 @@ def reference_sub_extract(state, cid):
 
 
 def reference_certificate(state, cid):
-    """_certificate() before its fast points: the Laplacian, eigvalsh and the
-    whole grid of block sizes and destinations on every call."""
+    """_certificate() with the Laplacian counted from the adjacency: eigvalsh
+    and the whole grid of block sizes and destinations."""
     p = state.partition
     members = sorted(p.comms[cid])
     c = len(members)
@@ -858,7 +860,7 @@ class TestClosedFormSubcommunities:
 
 def counted_run(g, p, seed, loop):
     """Run ``loop`` as every state's stepper(), the recursion's too, counting
-    kernel evaluations and sub_extract calls.
+    kernel evaluations.
 
     Returns the acceptance counts, the state, the call counts, the kernel
     evaluations as a Counter of their (F, M, n, ell), and the set of (F, M,
@@ -866,16 +868,12 @@ def counted_run(g, p, seed, loop):
     first-term bound, unpriced: rejected with nothing memoized.
     """
     calls, kernel_args, screened = Counter(), Counter(), set()
-    kernel, sub_extract, greedy = optimizer_module.surprise, SurpriseState.sub_extract, SurpriseState._greedy
+    kernel, greedy = optimizer_module.surprise, SurpriseState._greedy
 
     def counted_kernel(*args):
         calls["surprise"] += 1
         kernel_args[args] += 1
         return kernel(*args)
-
-    def counted_sub_extract(state, cid):
-        calls["sub_extract"] += 1
-        return sub_extract(state, cid)
 
     def watched_greedy(state, kind, nodes, src, dst):
         out = greedy(state, kind, nodes, src, dst)
@@ -888,7 +886,6 @@ def counted_run(g, p, seed, loop):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer_module, "surprise", counted_kernel)
-        mp.setattr(SurpriseState, "sub_extract", counted_sub_extract)
         mp.setattr(SurpriseState, "_greedy", watched_greedy)
         mp.setattr(SurpriseState, "stepper", loop)
         state = SurpriseState(g, p, rng=seed)
@@ -913,14 +910,13 @@ class TestRejectedMoves:
         kernel evaluations hold stepper()'s, and each extra one is such an
         (M, ell).
         """
-        counts, fast, fast_calls, fast_kernel, screened = counted_run(g, p, seed, SurpriseState.stepper)
-        ref_counts, ref, ref_calls, ref_kernel, _ = counted_run(g, p, seed, reference_stepper)
+        counts, fast, _, fast_kernel, screened = counted_run(g, p, seed, SurpriseState.stepper)
+        ref_counts, ref, _, ref_kernel, _ = counted_run(g, p, seed, reference_stepper)
         assert counts == ref_counts
         assert fast.partition.assign == ref.partition.assign
         assert fast.S == ref.S
         assert fast_kernel <= ref_kernel  # a sub-multiset
         assert set(ref_kernel - fast_kernel) <= screened
-        return fast_calls, ref_calls
 
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_partitions(max_k=14, max_nc=6))
@@ -934,22 +930,11 @@ class TestRejectedMoves:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_on_degraded_benchmark(self, seed):
-        fast, ref = self.assert_same_run(degraded_k63(seed), seed=seed)
-        assert fast["sub_extract"] < ref["sub_extract"]
-        # seed 0 settles its cliques in phase 1, so that no plan holds a
-        # block of two or more nodes; seeds 1-4 call sub_extract
-        assert (fast["sub_extract"] > 0) == (seed != 0)
+        self.assert_same_run(degraded_k63(seed), seed=seed)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_reference_on_sparse_random_cases(self, seed):
         self.assert_same_run(*sparse_random_case(seed), seed=seed)
-
-    def test_clique_optimum_needs_no_sub_extract(self):
-        # every community of the optimum is a clique, so every plan holds
-        # only singleton blocks, each an extraction just rejected
-        g, _ = disconnected_cliques([4, 5, 6])
-        fast, ref = self.assert_same_run(g)
-        assert fast["sub_extract"] == 0 < ref["sub_extract"]
 
     @pytest.mark.parametrize("seed", [197, 1234])
     def test_matches_reference_when_extraction_reopens(self, seed):
@@ -992,11 +977,10 @@ class TestRejectedMoves:
 
     def test_clean_cliques_need_no_sub_moves(self, monkeypatch):
         # every block of an undegraded clique is a single node whose
-        # exchanges and extraction phase 1 ended rejecting
+        # exchanges phase 1 ended rejecting, so no sub_exchange target is left
         sizes = pielouer_nodes(8, 0.85, (120, 120), rng=sub_rng(0, "bench.sizes"))
         g = build_benchmark(sizes, 0.05, rng=sub_rng(0, "bench.build")).graph
-        fast, ref = self.assert_same_run(g)
-        assert fast["sub_extract"] == 0 < ref["sub_extract"]
+        self.assert_same_run(g)
         calls = []
         sub_exchange = SurpriseState.sub_exchange
 
@@ -1209,6 +1193,37 @@ class TestCertificate:
                     dM, dell = state._delta(sub, cid, dst)
                     assert state._S_at(state.M + dM, state.ell + dell) - state.S <= bounds[cid] + 1e-12
 
+    def test_one_eigensolve_per_call(self, monkeypatch):
+        # no path returns before the eigensolve, whether the certificate
+        # holds (every call at seed 0) or fails (some at seed 1)
+        calls = Counter()
+        certificate, eigvalsh = SurpriseState._certificate, np.linalg.eigvalsh
+
+        def counted_certificate(state, cid):
+            calls["certificate"] += 1
+            bound = certificate(state, cid)
+            calls["held"] += bound is not None
+            return bound
+
+        def counted_eigvalsh(a):
+            calls["eigvalsh"] += 1
+            return eigvalsh(a)
+
+        monkeypatch.setattr(SurpriseState, "_certificate", counted_certificate)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        for seed, all_hold in ((0, True), (1, False)):
+            calls.clear()
+            SurpriseState(degraded_k63(seed), rng=seed).stepper()
+            assert 0 < calls["eigvalsh"] == calls["certificate"]
+            assert (calls["held"] == calls["certificate"]) == all_hold
+
+    def test_member_without_internal_link_fails(self):
+        # node 3 links only out of its community {0, 1, 2, 3}: the subgraph
+        # is disconnected, so eigvalsh's lambda_2 less the margin is <= 0
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
+        state = SurpriseState(g, Partition([0, 0, 0, 0, 1, 1]))
+        assert state._certificate(0) is None
+
 
 def bits(bound):
     """A certificate's return value, None or its float's exact bits."""
@@ -1234,9 +1249,10 @@ def certificates_against_reference():
 
 
 class TestFastCertificate:
-    """The certificate's fast points return None only where the Laplacian
-    and the whole grid would, so every call returns what
-    reference_certificate() returns, with fewer eigensolves."""
+    """_certificate() reads the members' internal degrees from the link
+    table; reference_certificate() recounts them from the graph and builds
+    its Laplacian and link grid its own way.  Every call returns the same
+    bits."""
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_partitions(max_k=12, max_nc=4))
@@ -1261,40 +1277,6 @@ class TestFastCertificate:
         # seed 0 settles its cliques in phase 1, so every certificate holds;
         # at seed 1 some fail
         assert any(bound is None for bound in bounds) == (seed != 0)
-
-    def test_fails_fast_on_degraded_benchmark(self, monkeypatch):
-        calls = Counter()
-        certificate, eigvalsh = SurpriseState._certificate, np.linalg.eigvalsh
-
-        def counted_certificate(state, cid):
-            calls["certificate"] += 1
-            return certificate(state, cid)
-
-        def counted_eigvalsh(a):
-            calls["eigvalsh"] += 1
-            return eigvalsh(a)
-
-        monkeypatch.setattr(SurpriseState, "_certificate", counted_certificate)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        # at seed 0 every certificate holds, so each needs its eigensolve;
-        # at seed 1 one fails with no eigensolve
-        for seed, fails_fast in ((0, False), (1, True)):
-            calls.clear()
-            SurpriseState(degraded_k63(seed), rng=seed).stepper()
-            assert 0 < calls["eigvalsh"] <= calls["certificate"]
-            assert (calls["eigvalsh"] < calls["certificate"]) == fails_fast
-
-    def test_member_without_internal_link_needs_no_eigensolve(self, monkeypatch):
-        # node 3 links only out of its community {0, 1, 2, 3}
-        g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
-        state = SurpriseState(g, Partition([0, 0, 0, 0, 1, 1]))
-        assert reference_certificate(state, 0) is None
-
-        def refuse(a):
-            raise AssertionError("eigvalsh called")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        assert state._certificate(0) is None
 
 
 class TestPaperScale:
@@ -1555,3 +1537,147 @@ class TestDeterminism:
         parts = sample_partitions(toy, 10, rng=3, max_sweeps=200)
         keys = {p.canonical() for p in parts}
         assert len(keys) == len(parts) >= 2
+
+
+class SurpriseStateMachine(RuleBasedStateMachine):
+    """The public moves, anneal_step, shake, stepper and subcommunities on one
+    state in any order, with every cache checked against a recomputation
+    after each call.
+
+    The prunings rest on these caches: _S_memo and _sub_cache never go
+    stale, and _plans and _rejected hold only what the current state would
+    rebuild or reject.  Ids are drawn below 14 and taken modulo the node or
+    community count; an illegal call must raise ValueError and change
+    nothing.
+    """
+
+    ids = st.integers(0, 13)
+
+    @initialize(gp=graphs_with_partitions(max_k=14, max_nc=6), singletons=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def start(self, gp, singletons, seed):
+        g, p = gp
+        self.state = SurpriseState(g, None if singletons else p, rng=seed)
+        self.tied = False  # S is the one a shake tie kept, not the kernel's
+        self.blocks = {}  # recursion_blocks of each _sub_cache key
+
+    def call(self, name, *args):
+        state = self.state
+        before = (list(state.partition.assign), state.M, state.ell, state.S)
+        try:
+            out = getattr(state, name)(*args)
+        except ValueError:
+            assert (state.partition.assign, state.M, state.ell, state.S) == before
+            return None
+        moved = state.partition.assign != before[0]
+        if name == "shake":
+            self.tied |= moved
+        elif moved:
+            self.tied = False  # every other move sets S to a kernel value
+        return out
+
+    def comm(self, i):
+        return i % self.state.partition.Nc
+
+    @rule(a=ids, b=ids)
+    def merge(self, a, b):
+        self.call("merge", self.comm(a), self.comm(b))
+
+    @rule(node=ids, b=ids)
+    def exchange(self, node, b):
+        self.call("exchange", node % self.state.graph.K, self.comm(b))
+
+    @rule(node=ids)
+    def extract(self, node):
+        self.call("extract", node % self.state.graph.K)
+
+    @rule(a=ids)
+    def sub_extract(self, a):
+        self.call("sub_extract", self.comm(a))
+
+    @rule(a=ids, b=ids)
+    def sub_exchange(self, a, b):
+        self.call("sub_exchange", self.comm(a), self.comm(b))
+
+    @rule(T=st.sampled_from([0.05, 0.5, 2.0]))
+    def anneal_step(self, T):
+        self.call("anneal_step", T)
+
+    @rule()
+    def shake(self):
+        self.call("shake")
+
+    @rule()
+    def stepper(self):
+        self.call("stepper")
+
+    @rule(a=ids)
+    def subcommunities(self, a):
+        cid = self.comm(a)
+        members = set(self.state.partition.comms[cid])
+        blocks = self.call("subcommunities", cid)
+        c, g = len(members), self.state.graph
+        internal = sum(len(g.adj[u] & members) for u in members) // 2
+        if c < 2:
+            assert blocks == [members]
+        elif internal in (0, c * (c - 1) // 2):
+            assert blocks == [{u} for u in sorted(members)]
+        else:
+            assert blocks == recursion_blocks(g, members, np.random.default_rng(0))
+
+    @invariant()
+    def counts_and_surprise(self):
+        state, g = self.state, self.state.graph
+        assert state.verify()
+        assert state.S.hex() == surprise(g.F, state.M, g.n, state.ell).hex() or self.tied
+
+    @invariant()
+    def memo_holds_kernel_values(self):
+        g = self.state.graph
+        for (M, ell), S in self.state._S_memo.items():
+            assert S.hex() == surprise(g.F, M, g.n, ell).hex()
+
+    @invariant()
+    def sub_cache_holds_the_recursion(self):
+        for key, blocks in self.state._sub_cache.items():
+            if key not in self.blocks:
+                # the recursion draws nothing from the rng
+                self.blocks[key] = recursion_blocks(self.state.graph, key, np.random.default_rng(0))
+            assert blocks == self.blocks[key]
+
+    @invariant()
+    def plans_are_current(self):
+        # rebuilt on a copy that shares S and the recursion memo: an empty
+        # plan the memo now has blocks for must still be certified
+        state = self.state
+        for cid, plan in state._plans.items():
+            assert 0 <= cid < state.partition.Nc and len(state.partition.comms[cid]) > 1
+            copy = SurpriseState(state.graph, state.partition)
+            # Partition() renumbers by first appearance: keep the ids
+            copy.partition.assign = list(state.partition.assign)
+            copy.partition.comms = [set(comm) for comm in state.partition.comms]
+            copy._node_links = copy._count_links()
+            copy.S = state.S
+            copy._sub_cache = {key: [set(b) for b in blocks] for key, blocks in state._sub_cache.items()}
+            rebuilt = copy._plan(cid)
+            assert plan == rebuilt or (plan == [] and copy._certificate(cid) is not None)
+
+    @invariant()
+    def rejected_moves_are_rejected(self):
+        state, g = self.state, self.state.graph
+        p = state.partition
+        for key in state._rejected:
+            if key[0] == "merge":
+                _, cA, cB = key
+                assert 0 <= cA < cB < p.Nc
+                nodes, src, dst = p.comms[cB], cB, cA
+            else:
+                node, src = key[1], p.assign[key[1]]
+                assert len(p.comms[src]) > 1
+                nodes, dst = (node,), key[2] if key[0] == "exchange" else None
+                assert dst is None or (0 <= dst < p.Nc and dst != src)
+            dM, dell = state._delta(nodes, src, dst)
+            assert not (surprise(g.F, state.M + dM, g.n, state.ell + dell) - state.S > TIE_EPS)
+
+
+TestSurpriseStateMachine = SurpriseStateMachine.TestCase
+TestSurpriseStateMachine.settings = settings(max_examples=300, stateful_step_count=30, deadline=None)

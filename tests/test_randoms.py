@@ -6,7 +6,6 @@ import pytest
 from scipy.stats import chisquare
 
 from surpkit.benchmarks import build_benchmark, pielouer, pielouer_nodes, rc_degrade
-from surpkit.datasets import toy_graph
 from surpkit.embedding import embed
 from surpkit.optimizer import SurpriseState, sample_partitions
 from surpkit.randoms import (
@@ -23,6 +22,8 @@ from surpkit.randoms import (
     tail_prob,
     zeta,
 )
+
+from testdata import toy_graph
 
 
 class TestZeta:

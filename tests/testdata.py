@@ -1,7 +1,8 @@
-"""Small bundled graphs used in tests and demonstrations."""
+"""Small graphs and benchmark expectations that only the tests use."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 
 from surpkit.graph import Graph
@@ -38,3 +39,23 @@ def disconnected_cliques(sizes: list[int]) -> tuple[Graph, Partition]:
         communities.append(nodes)
         start += c
     return Graph(start, edges), Partition.from_communities(communities)
+
+
+def expected_counts(
+    cliques: Sequence[int], r: float, p: float, q: float
+) -> tuple[int, int, float, float]:
+    """(K, Nc, mean intra-clique links, mean inter-community links).
+
+    The intra mean is (1-p) sum C(c_i, 2); the inter mean is
+    q sum_{j<i} c_i c_j plus the singleton attachments r/(1-r) sum c_i.
+    """
+    cliques = list(cliques)
+    total = sum(cliques)
+    K = int(total / (1.0 - r))
+    Nc = len(cliques) + (K - total)
+    mean_in = (1.0 - p) * sum(c * (c - 1) / 2 for c in cliques)
+    cross_pairs = sum(
+        cliques[i] * cliques[j] for i in range(len(cliques)) for j in range(i)
+    )
+    mean_out = q * cross_pairs + r / (1.0 - r) * total
+    return K, Nc, mean_in, mean_out
