@@ -28,7 +28,7 @@ from surpkit.exhaustive import best_partitions
 from surpkit.graph import load_edge_list, save_edge_list
 from surpkit.metrics import fragmentation, modularity, pielou, vi
 from surpkit.optimizer import SurpriseState
-from surpkit.partition import load_partition, save_partition
+from surpkit.partition import Partition, load_partition, save_partition
 from surpkit.randoms import (
     gamma_mle_continuous,
     gamma_mle_discrete,
@@ -98,8 +98,10 @@ def cmd_detect(args) -> int:
     state = SurpriseState(graph, rng=sub_rng(args.seed, "detect"))
     state.stepper()
     if args.anneal_steps > 0:
-        # anneal a copy: the greedy optimum stands unless the polish beats it
-        polished = SurpriseState(graph, state.partition, rng=state.rng)
+        # anneal a copy: the greedy optimum stands unless the polish beats it.
+        # The annealer draws community ids by index, so its walk depends on
+        # the numbering: the copy numbers them by first appearance
+        polished = SurpriseState(graph, Partition(state.partition.assign), rng=state.rng)
         for _ in range(args.anneal_steps):
             polished.anneal_step(args.anneal_T)
         polished.stepper()

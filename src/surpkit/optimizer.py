@@ -22,23 +22,40 @@ and the sub-community moves move one block.
 Link counts are kept incrementally in one table: every node's links
 into each community, updated by each applied move, so the delta of a
 single-node move is two lookups and that of a merge is a sum over the
-smaller community's members.  A state that starts from singletons, as
+smaller community's members.  The table is keyed by a private label per
+community, not by its public id: _lab[cid] is the label of community
+cid and _slot maps a label back to its id.  A community keeps its label
+while its id changes, so an applied move rewrites only the rows of the
+moved nodes' neighbours.  When a move empties a community, the last
+community takes its id (ids stay dense) with its label: that rewrites
+assign for its members and one entry of each map, and no row.  A merge
+relocates the smaller side: when the target cA is smaller than cB, cA's
+members move into cB's label, and the two slots then swap their sets and
+labels, so the union has id cA and cB's slot is the emptied one, exactly
+as when cB's members move.  Either way every row counts the same links
+into the union's label, so the table, the partition and every id after
+the move are those of moving cB.  A state that starts from singletons, as
 stepper() and every sub-community search do, reads the table straight
-from the adjacency (node u's community is u) with M = ell = 0; a state
-given a partition counts it over every edge.
+from the adjacency (node u's community is u, with label u) with M = ell
+= 0; a state given a partition labels its communities by id and counts
+the table over every edge.
 
-The greedy loop does not repeat a merge, an exchange or an extraction
-it has seen rejected since the last applied move.  This is exact: a
-merge of cA and cB has dM = sA*sB and dell = the edges between the pair,
-both symmetric in the pair, an exchange's delta depends only on the
-node, its community and the target, and extracting u from a community
-of c nodes has dM = 1 - c and dell = minus u's links into it.  Until a
-move is applied none of these changes, so a repeated call would price
-the same (M, ell) and be rejected again.  Applying any move clears the
-record, which also covers the renumbering of community ids.  By the same
-argument stepper() leaves out a sub-community exchange whose every block
-either repeats an exchange just rejected in the current state or is one
-sub_exchange would skip unpriced (argument in stepper()).
+The greedy loop does not repeat a merge it has seen rejected since the
+last applied move, nor an exchange or an extraction at a price (dM,
+dell) it has seen rejected.  This is exact: _greedy()'s decision reads
+only (M + dM, ell + dell) and S (the memo, the first-term screen and the
+kernel all read nothing else), and until a move is applied none of M,
+ell and S changes, so a move at a rejected price would be rejected
+again, whatever node or target it names.  Every member of a community
+with the same internal degree, as in a clique, has the same extraction
+price, so one rejection stands for all of them.  Merges keep the pair as
+their key: a merge of cA and cB has dM = sA*sB and dell = the edges
+between the pair, both symmetric in the pair, and the key saves the sum
+that prices it.  Applying any move clears the record, which also covers
+the renumbering of community ids.  By the same argument stepper() leaves
+out a sub-community exchange whose every block either has the price of
+an exchange rejected in the current state or is one sub_exchange would
+skip unpriced (argument in stepper()).
 
 Merges, exchanges and extractions price only a move that could be
 accepted.  Surprise is -ln of a hypergeometric upper tail (Aldecoa &
@@ -120,8 +137,8 @@ class _SubBlock:
 
     ``dM`` and ``dell`` are _delta() of moving the block into a fresh
     community of its own, and ``S_extract`` the surprise after that move;
-    ``links`` counts the block's links into every other community it
-    touches.  Moving the block into a community of t nodes instead adds
+    ``links`` counts, by community id, the block's links into every other
+    community it touches.  Moving the block into a community of t nodes instead adds
     t*b to dM (b the block's size) and its links into that community to
     dell.
     """
@@ -156,27 +173,35 @@ class SurpriseState:
         self._S_memo: dict[tuple[int, int], float] = {}
         # sub-block plans by community id, valid until the next applied move
         self._plans: dict[int, list[_SubBlock]] = {}
-        # merges, exchanges and extractions stepper() saw rejected since the
-        # last applied move
+        # what stepper() saw rejected since the last applied move: merges
+        # by ("merge", cA, cB), exchanges and extractions by price (dM, dell)
         self._rejected: set[tuple] = set()
-        # links of each node into each community; zero counts are dropped
+        # links of each node into each community, keyed by the community's
+        # private label _lab[cid]; zero counts are dropped.  _slot is the
+        # inverse of _lab, and _next_lab the label the next new community
+        # takes
         if partition is None:
-            # singletons: community u is {u}, so node u has one link into
-            # each neighbour's community.  M = ell = 0, and surprise(F, 0,
-            # n, 0) is exactly 0.0: lt0's first bracket is t(0) - t(0) -
-            # t(0) = 0.0, its other two are the same three table reads t(F)
-            # - t(n) - t(F - n) in the same order and cancel exactly, and
-            # the term loop is empty because min(0, n) = 0
+            # singletons: community u is {u}, with label u, so node u has
+            # one link into each neighbour's community.  M = ell = 0, and
+            # surprise(F, 0, n, 0) is exactly 0.0: lt0's first bracket is
+            # t(0) - t(0) - t(0) = 0.0, its other two are the same three
+            # table reads t(F) - t(n) - t(F - n) in the same order and
+            # cancel exactly, and the term loop is empty because min(0, n)
+            # = 0
             self.partition = Partition.singletons(graph.K)
             self.M, self.ell = 0, 0
             self.S = surprise(graph.F, 0, graph.n, 0)
+            self._lab = list(range(graph.K))
             self._node_links = [dict.fromkeys(nbs, 1) for nbs in graph.adj]
         else:
             if partition.K != graph.K:
                 raise ValueError("partition size does not match graph")
             self.partition = partition.copy()
             self.M, self.ell, self.S = partition_stats(graph, self.partition)
+            self._lab = list(range(self.partition.Nc))
             self._node_links = self._count_links()
+        self._slot = {lab: cid for cid, lab in enumerate(self._lab)}
+        self._next_lab = len(self._lab)
 
     # ----- bookkeeping helpers -------------------------------------------
 
@@ -192,51 +217,52 @@ class SurpriseState:
             raise ValueError(f"community id {cid} out of range [0, {Nc})")
 
     def _count_links(self) -> list[dict[int, int]]:
-        """Each node's link counts into each community, from scratch."""
-        assign = self.partition.assign
+        """Each node's link counts into each community's label, from scratch."""
+        assign, lab = self.partition.assign, self._lab
         node_links: list[dict[int, int]] = [{} for _ in range(self.graph.K)]
         for u, nbs in enumerate(self.graph.adj):
             counts = node_links[u]
             for nb in nbs:
-                cn = assign[nb]
-                counts[cn] = counts.get(cn, 0) + 1
+                ln = lab[assign[nb]]
+                counts[ln] = counts.get(ln, 0) + 1
         return node_links
 
     def _remove_comm(self, cid: int) -> None:
-        """Drop an emptied community slot, keeping ids dense (swap with last)."""
-        p = self.partition
+        """Drop an emptied community slot, keeping ids dense (swap with last).
+
+        The last community takes id cid and keeps its label, so only the
+        assign entries of its members change, and no row of the link table.
+        """
+        p, lab = self.partition, self._lab
+        del self._slot[lab[cid]]
         last = p.Nc - 1
         if cid != last:
             p.comms[cid] = p.comms[last]
-            node_links = self._node_links
-            adj = self.graph.adj
+            lab[cid] = lab[last]
+            self._slot[lab[cid]] = cid
             for node in p.comms[cid]:
                 p.assign[node] = cid
-                for nb in adj[node]:
-                    counts = node_links[nb]
-                    if last in counts:
-                        counts[cid] = counts.pop(last)
         p.comms.pop()
+        lab.pop()
 
-    def _relocate(self, node: int, src: int, dst: int) -> None:
-        """Move one node from src to dst, updating the link table.
+    def _relabel_links(self, nodes: Collection[int], src_lab: int, dst_lab: int) -> None:
+        """Move the links of ``nodes`` from label src_lab to dst_lab in their neighbours' rows.
 
-        Each neighbour's row loses one link into src and gains one into
-        dst.  The node's own row is unchanged: it counts the communities of
-        its neighbours, and the graph has no self-loops.
+        Each neighbour's row loses one link into src_lab and gains one into
+        dst_lab per moved neighbour.  A moved node's own row changes only
+        through its moved neighbours: it counts the communities of its
+        neighbours, and the graph has no self-loops.
         """
-        p = self.partition
         node_links = self._node_links
-        for nb in self.graph.adj[node]:
-            counts = node_links[nb]
-            if counts[src] == 1:
-                del counts[src]
-            else:
-                counts[src] -= 1
-            counts[dst] = counts.get(dst, 0) + 1
-        p.comms[src].discard(node)
-        p.comms[dst].add(node)
-        p.assign[node] = dst
+        adj = self.graph.adj
+        for node in nodes:
+            for nb in adj[node]:
+                counts = node_links[nb]
+                if counts[src_lab] == 1:
+                    del counts[src_lab]
+                else:
+                    counts[src_lab] -= 1
+                counts[dst_lab] = counts.get(dst_lab, 0) + 1
 
     # ----- the one move: price it, apply it ------------------------------
 
@@ -261,36 +287,60 @@ class SurpriseState:
         the memo key and every decision are the same whichever side is
         read.  The smaller side costs min(c, t) lookups.
         """
-        comms = self.partition.comms
+        comms, lab = self.partition.comms, self._lab
         b = len(nodes)
         c = len(comms[src])
         t = 0 if dst is None else len(comms[dst])
         dM = b * (t + b - c)
         node_links = self._node_links
+        ls = lab[src]
+        ld = None if dst is None else lab[dst]
         if b == c and dst is not None:
-            side, other = (nodes, dst) if c <= t else (comms[dst], src)
+            side, other = (nodes, ld) if c <= t else (comms[dst], ls)
             return dM, sum(node_links[u].get(other, 0) for u in side)
         if b == 1:
             (u,) = nodes
             links = node_links[u]
-            return dM, links.get(dst, 0) - links.get(src, 0)
+            return dM, links.get(ld, 0) - links.get(ls, 0)
         adj = self.graph.adj
         dell = 0
         for u in nodes:
             links = node_links[u]
-            dell += links.get(dst, 0) - links.get(src, 0) + len(adj[u] & nodes)
+            dell += links.get(ld, 0) - links.get(ls, 0) + len(adj[u] & nodes)
         return dM, dell
 
     def _move(self, nodes: Collection[int], src: int, dst: int | None, dM: int, dell: int, S_new: float) -> None:
-        """Apply a move priced by _delta(nodes, src, dst), with no acceptance test."""
+        """Apply a move priced by _delta(nodes, src, dst), with no acceptance test.
+
+        A new community takes the next id and a fresh label.  A merge into
+        a smaller community relocates dst's members into src, then swaps
+        the two slots' sets and labels, so the union has id dst (argument
+        in the module docstring).
+        """
         p = self.partition
+        comms, assign, lab = p.comms, p.assign, self._lab
         if dst is None:
-            p.comms.append(set())
-            dst = p.Nc - 1
-        # a copy: nodes may be the community set itself (a merge)
-        for node in list(nodes):
-            self._relocate(node, src, dst)
-        if not p.comms[src]:
+            comms.append(set())
+            lab.append(self._next_lab)
+            dst = self._slot[self._next_lab] = p.Nc - 1
+            self._next_lab += 1
+        if len(comms[dst]) < len(nodes) == len(comms[src]):
+            union, small = comms[src], comms[dst]
+            self._relabel_links(small, lab[dst], lab[src])
+            for node in union:
+                assign[node] = dst
+            union |= small
+            comms[dst], comms[src] = union, set()
+            lab[src], lab[dst] = lab[dst], lab[src]
+            self._slot[lab[src]], self._slot[lab[dst]] = src, dst
+        else:
+            self._relabel_links(nodes, lab[src], lab[dst])
+            for node in nodes:
+                assign[node] = dst
+            # dst first: nodes may be the community set itself (a merge)
+            comms[dst].update(nodes)
+            comms[src].difference_update(nodes)
+        if not comms[src]:
             self._remove_comm(src)
         self._commit(dM, dell, S_new)
 
@@ -414,7 +464,8 @@ class SurpriseState:
         members = self.partition.comms[cid]
         c = len(members)
         # twice the links inside the community
-        internal2 = sum(self._node_links[u].get(cid, 0) for u in members)
+        lc = self._lab[cid]
+        internal2 = sum(self._node_links[u].get(lc, 0) for u in members)
         if internal2 == 0 or internal2 == c * (c - 1):
             return [{u} for u in sorted(members)]
         return None
@@ -473,15 +524,15 @@ class SurpriseState:
         comm = p.comms[cid]
         members = sorted(comm)
         c = len(members)
-        node_links = self._node_links
+        node_links, lc = self._node_links, self._lab[cid]
         deg = []  # each member's links inside cid
-        into: dict[int, list[int]] = {}  # counts into each other community, of the members linked to it
+        into: dict[int, list[int]] = {}  # by label: counts into each other community, of the members linked to it
         for u in members:
             row = node_links[u]
-            deg.append(row.get(cid, 0))
-            for cj, k in row.items():
-                if cj != cid:
-                    into.setdefault(cj, []).append(k)
+            deg.append(row.get(lc, 0))
+            for lj, k in row.items():
+                if lj != lc:
+                    into.setdefault(lj, []).append(k)
         index = {u: i for i, u in enumerate(members)}
         adj = self.graph.adj
         lap = np.zeros((c, c))
@@ -494,7 +545,7 @@ class SurpriseState:
         cut = np.ceil(lam * (b * (c - b)) / c).astype(np.int64)
         # row 0 is a new community, row r > 0 a linked one; its links are
         # the running sum of its member counts in descending order
-        t = np.array([0] + [len(p.comms[cj]) for cj in into], dtype=np.int64)[:, None]
+        t = np.array([0] + [len(p.comms[self._slot[lj]]) for lj in into], dtype=np.int64)[:, None]
         links = np.zeros((len(into) + 1, c - 1), dtype=np.int64)
         if into:
             counts = -np.sort(-np.array([ks + [0] * (c - len(ks)) for ks in into.values()]), axis=1)
@@ -540,15 +591,16 @@ class SurpriseState:
                 plan = self._plans[cid] = []
                 return plan
             blocks = self.subcommunities(cid)
-        node_links = self._node_links
+        node_links, slot, lc = self._node_links, self._slot, self._lab[cid]
         plan = []
         for sub in sorted(blocks, key=min):
             dM, dell = self._delta(sub, cid, None)
-            links: dict[int, int] = {}
+            by_lab: dict[int, int] = {}
             for u in sub:
-                for cj, k in node_links[u].items():
-                    links[cj] = links.get(cj, 0) + k
-            links.pop(cid, None)
+                for lj, k in node_links[u].items():
+                    by_lab[lj] = by_lab.get(lj, 0) + k
+            by_lab.pop(lc, None)
+            links = {slot[lj]: k for lj, k in by_lab.items()}
             plan.append(_SubBlock(sub, dM, dell, links, self._S_at(self.M + dM, self.ell + dell)))
         self._plans[cid] = plan
         return plan
@@ -617,18 +669,21 @@ class SurpriseState:
 
         Every other community when some block's extraction raises S by more
         than TIE_EPS.  Otherwise those some block links to, leaving out the
-        pair of a singleton block {u} and a community cj when the exchange
-        of u into cj is in _rejected.  The argument is in stepper().
+        pair of a singleton block {u} and a community cj when the price of
+        exchanging u into cj is in _rejected.  That price is the block's
+        extraction price plus t = |cj| in dM and u's links into cj in dell.
+        The argument is in stepper().
         """
         plan = self._plan(ci)
         if any(blk.S_extract - self.S > TIE_EPS for blk in plan):
             return [cj for cj in range(len(self.partition.comms)) if cj != ci]
-        rejected = self._rejected
+        rejected, comms = self._rejected, self.partition.comms
         targets: set[int] = set()
         for blk in plan:
             if len(blk.nodes) == 1:
-                (u,) = blk.nodes
-                targets.update(cj for cj in blk.links if ("exchange", u, cj) not in rejected)
+                targets.update(
+                    cj for cj, k in blk.links.items() if (blk.dM + len(comms[cj]), blk.dell + k) not in rejected
+                )
             else:
                 targets.update(blk.links)
         return sorted(targets)
@@ -643,8 +698,12 @@ class SurpriseState:
         failure to exchange a node between them; then extract nodes to
         exhaustion, then extract sub-communities to exhaustion, then
         exchange sub-communities with every other community to exhaustion.
-        A merge, exchange or extraction already rejected since the last
-        applied move is not tried again (see the module docstring).
+        A merge already rejected since the last applied move is not tried
+        again, nor an exchange or extraction at a price (dM, dell) already
+        rejected since then (see the module docstring).  An exchange or
+        extraction is priced by _delta() before the call, two lookups in
+        the link table, and the call, which prices it again, is made only
+        when that price is not in _rejected.
 
         The passes run in two phases.  Phase 1 leaves out the two
         sub-community moves and repeats until a pass applies nothing; phase
@@ -662,8 +721,8 @@ class SurpriseState:
 
         _rejected is not cleared when phase 2 begins.  Phase 1 ends with a
         pass that applied nothing, and only an applied move changes the
-        state, so every entry still names a move priced and rejected in
-        the current state.
+        state, so every entry still names a merge, or the price of a move,
+        priced and rejected in the current state.
 
         Each member of the snapshot sorted(p.comms[ci]) is still in ci at
         its turn: a merge brings cj into ci (re-read after a renumbering),
@@ -673,7 +732,10 @@ class SurpriseState:
         Two kinds of call are left out because their outcome is already
         known: every pricing skipped has the same (dM, dell) as a move
         already priced and rejected in the current state, or its block is
-        one sub_exchange would skip unpriced.  A skipped call would apply
+        one sub_exchange would skip unpriced.  For an exchange or an
+        extraction that is the key itself; for a merge, the pair's
+        (dM, dell) is symmetric in the pair and cannot change until a move
+        is applied.  A skipped call would apply
         nothing and draw nothing from the rng, so decisions and the rng
         stream are those of the loop that makes every call.  Its kernel
         evaluations are a sub-multiset of that loop's.  A skipped merge,
@@ -694,10 +756,12 @@ class SurpriseState:
         no link into cj (see _block_scan()).  A singleton block {u} moved
         out of ci (c nodes) into cj (t nodes) has dM = t + 1 - c and dell =
         u's links into cj minus its links into ci, the (dM, dell) of
-        exchange(u, cj).  When that exchange is in _rejected, it was priced
-        and rejected in the current state, because every applied move
-        clears the set.  A target that only such blocks reach is rejected
-        by sub_exchange without applying anything.
+        exchange(u, cj).  When that price is in _rejected, a move at that
+        price was priced and rejected in the current state, because every
+        applied move clears the set, and _block_scan's test, dS > TIE_EPS on
+        the kernel's value at the same (M, ell), rejects it too.  A target
+        that only such blocks reach is rejected by sub_exchange without
+        applying anything.
 
         Returns acceptance counts per move kind.
         """
@@ -722,25 +786,31 @@ class SurpriseState:
                                 ci = p.assign[node]
                                 continue
                             rejected.add(key)
-                        if len(p.comms[ci]) > 1 and ("exchange", node, cj) not in rejected:
-                            if self.exchange(node, cj).accepted:
-                                counts["exchange"] += 1
-                                break  # node left ci; go to the next member
-                            rejected.add(("exchange", node, cj))
-                        if len(p.comms[cj]) > 1 and ("exchange", nb, ci) not in rejected:
-                            if self.exchange(nb, ci).accepted:
-                                counts["exchange"] += 1
-                            else:
-                                rejected.add(("exchange", nb, ci))
+                        if len(p.comms[ci]) > 1:
+                            price = self._delta((node,), ci, cj)
+                            if price not in rejected:
+                                if self.exchange(node, cj).accepted:
+                                    counts["exchange"] += 1
+                                    break  # node left ci; go to the next member
+                                rejected.add(price)
+                        if len(p.comms[cj]) > 1:
+                            price = self._delta((nb,), cj, ci)
+                            if price not in rejected:
+                                if self.exchange(nb, ci).accepted:
+                                    counts["exchange"] += 1
+                                else:
+                                    rejected.add(price)
                 # extract to exhaustion: sweep ci while a sweep extracts a node
                 while len(p.comms[ci]) > 1:
                     extracted = counts["extract"]
                     for node in sorted(p.comms[ci]):
-                        if len(p.comms[ci]) > 1 and ("extract", node) not in rejected:
-                            if self.extract(node).accepted:
-                                counts["extract"] += 1
-                            else:
-                                rejected.add(("extract", node))
+                        if len(p.comms[ci]) > 1:
+                            price = self._delta((node,), ci, None)
+                            if price not in rejected:
+                                if self.extract(node).accepted:
+                                    counts["extract"] += 1
+                                else:
+                                    rejected.add(price)
                     if counts["extract"] == extracted:
                         break
                 if not sub_moves:
@@ -869,7 +939,7 @@ class SurpriseState:
         return exchanges, sub_exchanges
 
     def verify(self) -> bool:
-        """True iff the cached M, ell, S and link table match a from-scratch recomputation."""
+        """True iff the cached M, ell, S, labels and link table match a from-scratch recomputation."""
         p = self.partition
         if p.assign and p.Nc != max(p.assign) + 1:
             return False
@@ -879,6 +949,11 @@ class SurpriseState:
             if node not in p.comms[cid]:
                 return False
         if sum(len(c) for c in p.comms) != self.graph.K:
+            return False
+        lab = self._lab
+        if len(lab) != p.Nc or len(set(lab)) != p.Nc or max(lab) >= self._next_lab:
+            return False
+        if self._slot != {ln: cid for cid, ln in enumerate(lab)}:
             return False
         if self._node_links != self._count_links():
             return False

@@ -68,7 +68,11 @@ class Partition:
         return [sorted(c) for c in self.comms]
 
     def copy(self) -> "Partition":
-        return Partition(self.assign)
+        """An independent copy with the same community ids (no renumbering)."""
+        clone = Partition.__new__(Partition)
+        clone.assign = list(self.assign)
+        clone.comms = [set(c) for c in self.comms]
+        return clone
 
     def canonical(self) -> tuple[int, ...]:
         """Relabeling-invariant form (ids by first appearance)."""

@@ -139,6 +139,11 @@ class TestDetect:
         assert code == 0
         polished = float(dict(kv.split("=") for kv in out.split())["S"])
         assert polished > greedy + 1.0
+        # the file, community ids included, is the one detect has always
+        # written: the annealed copy takes its ids by first appearance
+        assert hashlib.sha256(found.read_bytes()).hexdigest() == (
+            "287f21d557e393deda66de5ce9f4edc45c924fbee40c03c70d36786c606b08e4"
+        )
         code, out = run(capsys, "eval", "surprise", "--graph", edges, "--partition", found)
         assert code == 0 and float(out) == pytest.approx(polished, abs=1e-8)
 

@@ -169,12 +169,33 @@ def reference_subcommunities(state, cid):
     return recursion_blocks(state.graph, state.partition.comms[cid], state.rng)
 
 
+def reference_relocate(p, nodes, src, dst):
+    """Move ``nodes`` out of src into dst (None: a new community) in the Partition p.
+
+    Numbers communities as SurpriseState does: a new community takes the
+    next id, and an emptied community's id goes to the last community.  A
+    merge is the whole of cB moved into cA.
+    """
+    if dst is None:
+        p.comms.append(set())
+        dst = p.Nc - 1
+    for u in nodes:
+        p.comms[src].remove(u)
+        p.comms[dst].add(u)
+        p.assign[u] = dst
+    if not p.comms[src]:
+        last = p.comms.pop()
+        if src < p.Nc:
+            p.comms[src] = last
+            for u in last:
+                p.assign[u] = src
+
+
 def reference_anneal_step(graph, p, rng, T):
     """anneal_step() drawing its proposals in the same order, each priced from scratch.
 
     Edits the Partition p in place and numbers communities as SurpriseState
-    does: a merge moves cB into cA, a new community takes the next id, and
-    an emptied community's id goes to the last community.  Every proposal
+    does (see reference_relocate()).  Every proposal
     is priced by partition_stats on a relabeled copy of the assignment, and
     the sub-communities come from running the greedy recursion afresh (no
     memo, and no closed form at the top level).  Returns the number of
@@ -219,19 +240,7 @@ def reference_anneal_step(graph, p, rng, T):
         if not (dS > 0.0 or rng.random() < math.exp(dS / T)):
             continue
         accepted += 1
-        if dst is None:
-            p.comms.append(set())
-            dst = p.Nc - 1
-        for u in nodes:
-            p.comms[src].remove(u)
-            p.comms[dst].add(u)
-            p.assign[u] = dst
-        if not p.comms[src]:
-            last = p.comms.pop()
-            if src < p.Nc:
-                p.comms[src] = last
-                for u in last:
-                    p.assign[u] = src
+        reference_relocate(p, nodes, src, dst)
     return accepted
 
 
@@ -410,13 +419,14 @@ def reference_sub_extract(state, cid):
 
 
 def reference_certificate(state, cid):
-    """_certificate() with the Laplacian counted from the adjacency: eigvalsh
-    and the whole grid of block sizes and destinations."""
+    """_certificate() with the Laplacian and the member link counts counted
+    from the adjacency and the assignment, not read from the link table:
+    eigvalsh and the whole grid of block sizes and destinations."""
     p = state.partition
     members = sorted(p.comms[cid])
     c = len(members)
     index = {u: i for i, u in enumerate(members)}
-    adj, node_links = state.graph.adj, state._node_links
+    adj = state.graph.adj
     lap = np.zeros((c, c))
     into = {}  # member link counts into each other community
     for i, u in enumerate(members):
@@ -424,12 +434,11 @@ def reference_certificate(state, cid):
             j = index.get(v)
             if j is not None:
                 lap[i, j] = -1.0
-        for cj, k in node_links[u].items():
-            if cj != cid:
-                row = into.get(cj)
-                if row is None:
-                    row = into[cj] = np.zeros(c, dtype=np.int64)
-                row[i] = k
+                continue
+            row = into.get(p.assign[v])
+            if row is None:
+                row = into[p.assign[v]] = np.zeros(c, dtype=np.int64)
+            row[i] += 1
     deg = -lap.sum(axis=1)
     lap[np.diag_indices(c)] = deg
     lam = np.linalg.eigvalsh(lap)[1] - 2e-9 * deg.max()
@@ -471,6 +480,30 @@ class TestMerge:
         state = SurpriseState(toy)
         out = state.merge(0, 1)
         assert out.accepted and out.deltaS > 0
+        assert state.verify()
+
+    @pytest.mark.parametrize(
+        "communities, cA, cB",
+        [
+            # cB is not the last community, whose id it then takes
+            ([[0, 1, 2], [3], [4, 5, 6, 7], [8, 9, 10]], 1, 0),
+            ([[0], [1, 2, 3, 8, 9], [4, 5, 6, 7], [10]], 0, 1),
+            # cB is the last community
+            ([[0, 8], [1, 4], [2, 3, 5, 6, 7, 9, 10]], 1, 2),
+        ],
+    )
+    def test_smaller_target_keeps_the_numbering(self, toy, communities, cA, cB):
+        # |cA| < |cB|: the link table moves cA's members, yet the union
+        # has id cA and the emptied slot is cB's, as when cB is moved
+        p = Partition.from_communities(communities)
+        state = SurpriseState(toy, p)
+        assert len(p.comms[cA]) < len(p.comms[cB])
+        assert state.merge(cA, cB).accepted
+        ref = p.copy()
+        reference_relocate(ref, set(ref.comms[cB]), cB, cA)
+        assert state.partition.assign == ref.assign
+        assert state.partition.comms == ref.comms
+        assert state.S.hex() == partition_stats(toy, ref)[2].hex()
         assert state.verify()
 
     def test_clique_merge_rejected_at_optimum(self, toy, truth):
@@ -1350,6 +1383,17 @@ class TestLinkTables:
             # side and once as the target; equal sizes read each side once
             assert state._delta(comms[cB], cB, cA)[1] == state._delta(comms[cA], cA, cB)[1] == between
 
+    def test_state_and_copy_keep_the_ids(self, toy):
+        # stepper() leaves the ids out of first-appearance order
+        state = SurpriseState(toy, rng=0)
+        state.stepper()
+        p = state.partition
+        assert p.assign == [0, 0, 0, 0, 1, 1, 1, 1, 3, 2, 2] != list(p.canonical())
+        copy = p.copy()
+        assert (copy.assign, copy.comms) == (p.assign, p.comms)
+        assert copy.assign is not p.assign and all(a is not b for a, b in zip(copy.comms, p.comms))
+        assert SurpriseState(toy, p).partition.assign == p.assign
+
     def test_recount_covers_renumbering_and_new_ids(self, toy):
         p = Partition.from_communities([[0, 1, 2, 3, 8, 9], [4, 5, 6, 7], [10]])
         assert apply_every_move(toy, p) == {"renumbering merge", "appending sub_extract"}
@@ -1494,6 +1538,15 @@ class TestCheckDeltasAndVerify:
         assert not state.verify()
         state = SurpriseState(toy, truth)
         state._node_links[0][2] = 0  # a zero count must be dropped
+        assert not state.verify()
+        state = SurpriseState(toy, truth)
+        state._lab[0], state._lab[1] = state._lab[1], state._lab[0]  # the inverse not updated
+        assert not state.verify()
+        state = SurpriseState(toy, truth)
+        state._slot[state._next_lab] = 0  # a stale inverse entry
+        assert not state.verify()
+        state = SurpriseState(toy, truth)
+        state._next_lab -= 1  # the next new community would reuse a label
         assert not state.verify()
 
     @settings(max_examples=5, deadline=None)
@@ -1652,30 +1705,32 @@ class SurpriseStateMachine(RuleBasedStateMachine):
         for cid, plan in state._plans.items():
             assert 0 <= cid < state.partition.Nc and len(state.partition.comms[cid]) > 1
             copy = SurpriseState(state.graph, state.partition)
-            # Partition() renumbers by first appearance: keep the ids
-            copy.partition.assign = list(state.partition.assign)
-            copy.partition.comms = [set(comm) for comm in state.partition.comms]
-            copy._node_links = copy._count_links()
             copy.S = state.S
             copy._sub_cache = {key: [set(b) for b in blocks] for key, blocks in state._sub_cache.items()}
             rebuilt = copy._plan(cid)
             assert plan == rebuilt or (plan == [] and copy._certificate(cid) is not None)
 
     @invariant()
+    def labels_are_a_bijection(self):
+        state = self.state
+        lab, Nc = state._lab, state.partition.Nc
+        assert len(lab) == len(set(lab)) == Nc
+        assert state._slot == {ln: cid for cid, ln in enumerate(lab)}
+        assert all(0 <= ln < state._next_lab for ln in lab)
+
+    @invariant()
     def rejected_moves_are_rejected(self):
+        # a merge key names the pair; any other key is the price (dM, dell)
+        # of a rejected exchange or extraction
         state, g = self.state, self.state.graph
         p = state.partition
         for key in state._rejected:
             if key[0] == "merge":
                 _, cA, cB = key
                 assert 0 <= cA < cB < p.Nc
-                nodes, src, dst = p.comms[cB], cB, cA
+                dM, dell = state._delta(p.comms[cB], cB, cA)
             else:
-                node, src = key[1], p.assign[key[1]]
-                assert len(p.comms[src]) > 1
-                nodes, dst = (node,), key[2] if key[0] == "exchange" else None
-                assert dst is None or (0 <= dst < p.Nc and dst != src)
-            dM, dell = state._delta(nodes, src, dst)
+                dM, dell = key
             assert not (surprise(g.F, state.M + dM, g.n, state.ell + dell) - state.S > TIE_EPS)
 
 
