@@ -40,29 +40,25 @@ from the adjacency (node u's community is u, with label u) with M = ell
 = 0; a state given a partition labels its communities by id and counts
 the table over every edge.
 
-The greedy loop does not repeat a merge it has seen rejected since the
-last applied move, nor an exchange or an extraction at a price (dM,
-dell) it has seen rejected.  This is exact: _greedy()'s decision reads
-only (M + dM, ell + dell) and S (the memo, the first-term screen and the
-kernel all read nothing else), and until a move is applied none of M,
-ell and S changes, so a move at a rejected price would be rejected
-again, whatever node or target it names.  Every member of a community
-with the same internal degree, as in a clique, has the same extraction
-price, so one rejection stands for all of them.  Merges keep the pair as
-their key: a merge of cA and cB has dM = sA*sB and dell = the edges
-between the pair, both symmetric in the pair, and the key saves the sum
-that prices it.  Applying any move clears the record, which also covers
-the renumbering of community ids.  By the same argument stepper() leaves
-out a sub-community exchange whose every block either has the price of
-an exchange rejected in the current state or is one sub_exchange would
-skip unpriced (argument in stepper()).
+Every greedy move, block moves included, is decided at one site,
+_greedy().  It takes the move's price (dM, dell) from its caller, applies
+the move when it raises S by more than TIE_EPS, and otherwise records the
+caller's key in _rejected: the pair for a merge, the price for any other
+move.  A rejected key stays rejected until a move is applied (argument in
+_greedy()), so stepper() leaves out a call whose key is in _rejected.
+Every member of a community with the same internal degree, as in a
+clique, has the same extraction price, so one rejection stands for all of
+them.  By the same argument stepper() offers a community's blocks only to
+a target that some block links to at a price not in _rejected, or to
+every target when some block's extraction would be applied (argument in
+_sub_targets()).
 
-Merges, exchanges and extractions price only a move that could be
-accepted.  Surprise is -ln of a hypergeometric upper tail (Aldecoa &
-Marin, PLoS ONE 6:e24195, 2011), and a tail is at least its first term,
-so -ln pmf(ell), first_term_bound(), bounds S from above.  On a memo
-miss whose term loop would run (ell < min(M, n)), _greedy() takes bound
-= max(first_term_bound(F, M, n, ell), 0.0) and rejects the move unpriced
+The greedy moves price only a move that could be accepted.  Surprise is
+-ln of a hypergeometric upper tail (Aldecoa & Marin, PLoS ONE 6:e24195,
+2011), and a tail is at least its first term, so -ln pmf(ell),
+first_term_bound(), bounds S from above.  On a memo miss whose term loop
+would run (ell < min(M, n)), _greedy() takes bound =
+max(first_term_bound(F, M, n, ell), 0.0) and rejects the move unpriced
 when not (bound - S > TIE_EPS), the acceptance test's own expression.
 This is exact, bit for bit.  The kernel returns -((lt0 + mx) + ln acc),
 clamped at 0.0, with mx >= 0 and acc >= 1, and its lt0 is bit for bit
@@ -72,8 +68,8 @@ S) <= TIE_EPS: no margin is needed, at any size of S.  Where ell =
 min(M, n) the loop is empty and the kernel returns exactly bound, so
 that move is priced as before.  A screened move memoizes nothing and
 draws nothing from the rng, so decisions, S bits and the rng stream are
-those of exact pricing.  _block_scan(), _plan(), shake() and the
-annealer price every move exactly.
+those of exact pricing.  _plan(), shake() and the annealer price every
+move exactly.
 
 A community whose induced subgraph is complete or edgeless has its
 singletons as sub-communities, found without recursing.  Such a subgraph
@@ -118,9 +114,9 @@ class MoveOutcome(NamedTuple):
     """What one greedy move did: applied or not, its deltaS, and its kind.
 
     An applied move's deltaS is exact.  A rejected move's deltaS may be an
-    upper bound on it, at most TIE_EPS: a merge, exchange or extraction
-    rejected on its first-term bound reports bound - S, and a sub-community
-    move the bound of _block_scan().
+    upper bound on it, at most TIE_EPS: a move rejected on its first-term
+    bound, a block move included, reports bound - S, and a rejected
+    sub-community move the bound of _block_scan().
 
     A named tuple: the greedy loop builds one per priced move, and a tuple
     is the cheapest immutable record to build.
@@ -173,8 +169,8 @@ class SurpriseState:
         self._S_memo: dict[tuple[int, int], float] = {}
         # sub-block plans by community id, valid until the next applied move
         self._plans: dict[int, list[_SubBlock]] = {}
-        # what stepper() saw rejected since the last applied move: merges
-        # by ("merge", cA, cB), exchanges and extractions by price (dM, dell)
+        # what _greedy() rejected since the last applied move: merges by
+        # ("merge", cA, cB), every other move by its price (dM, dell)
         self._rejected: set[tuple] = set()
         # links of each node into each community, keyed by the community's
         # private label _lab[cid]; zero counts are dropped.  _slot is the
@@ -352,17 +348,35 @@ class SurpriseState:
         self._plans.clear()
         self._rejected.clear()
 
-    def _greedy(self, kind: str, nodes: Collection[int], src: int, dst: int | None) -> MoveOutcome:
-        """Apply the move when it raises the surprise by more than TIE_EPS.
+    def _greedy(
+        self, kind: str, nodes: Collection[int], src: int, dst: int | None, dM: int, dell: int, key: tuple
+    ) -> MoveOutcome:
+        """Apply the move priced (dM, dell) by _delta(nodes, src, dst) when it raises S by more than TIE_EPS.
+
+        The one greedy decision: every merge, exchange, extraction and
+        block move is decided here, and nothing else adds to _rejected.
+        On rejection ``key`` goes into _rejected: the pair ("merge", cA,
+        cB) for a merge, the price (dM, dell) for any other move.
 
         A move whose (M, ell) misses the memo and whose tail has more than
         one term is first screened by the first-term bound, and rejected
         unpriced when the bound itself does not clear TIE_EPS (argument in
         the module docstring).  Its deltaS is then bound - S: at least the
-        kernel's deltaS and at most TIE_EPS, as _block_scan()'s deltaS is
-        an upper bound on rejection.  Nothing is memoized for it.
+        kernel's deltaS and at most TIE_EPS.  Nothing is memoized for it.
+
+        A rejected key stays rejected until a move is applied.  The
+        decision reads only (M + dM, ell + dell) and S (the memo, the
+        screen and the kernel read nothing else), and until a move is
+        applied none of M, ell and S changes, so a move at a rejected price
+        would be rejected again, whatever nodes, source or target it names.
+        A merge of cA and cB has dM = sA*sB and dell = the edges between
+        the pair, both symmetric in the pair and fixed until a move is
+        applied, so its pair stands for its price and saves the sum that
+        prices it.  Applying any move clears the record (_commit()), which
+        also covers the renumbering of community ids.  So a call whose key
+        is in _rejected can be left out: it would apply nothing and draw
+        nothing from the rng.
         """
-        dM, dell = self._delta(nodes, src, dst)
         M, ell = self.M + dM, self.ell + dell
         S_new = self._S_memo.get((M, ell))
         if S_new is None:
@@ -371,12 +385,14 @@ class SurpriseState:
                 check_feasible(F, M, n, ell)
                 bound = max(first_term_bound(F, M, n, ell), 0.0)
                 if not (bound - self.S > TIE_EPS):
+                    self._rejected.add(key)
                     return MoveOutcome(False, bound - self.S, kind)
             S_new = self._S_at(M, ell)
         dS = S_new - self.S
         if dS > TIE_EPS:
             self._move(nodes, src, dst, dM, dell, S_new)
             return MoveOutcome(True, dS, kind)
+        self._rejected.add(key)
         return MoveOutcome(False, dS, kind)
 
     # ----- the five moves -------------------------------------------------
@@ -387,7 +403,9 @@ class SurpriseState:
         self._check_comm(cB)
         if cA == cB:
             raise ValueError("cannot merge a community with itself")
-        return self._greedy("merge", self.partition.comms[cB], cB, cA)
+        nodes = self.partition.comms[cB]
+        dM, dell = self._delta(nodes, cB, cA)
+        return self._greedy("merge", nodes, cB, cA, dM, dell, ("merge", cA, cB) if cA < cB else ("merge", cB, cA))
 
     def exchange(self, node: int, cTo: int) -> MoveOutcome:
         """Move one node into cTo when that raises the surprise."""
@@ -398,7 +416,9 @@ class SurpriseState:
             raise ValueError("cannot exchange out of a singleton community")
         if cTo == src:
             return MoveOutcome(False, 0.0, "exchange")
-        return self._greedy("exchange", (node,), src, cTo)
+        price = self._delta((node,), src, cTo)
+        dM, dell = price
+        return self._greedy("exchange", (node,), src, cTo, dM, dell, price)
 
     def extract(self, node: int) -> MoveOutcome:
         """Split one node into a new singleton community when that raises the surprise."""
@@ -406,7 +426,9 @@ class SurpriseState:
         src = self.partition.assign[node]
         if len(self.partition.comms[src]) <= 1:
             raise ValueError("cannot extract from a singleton community")
-        return self._greedy("extract", (node,), src, None)
+        price = self._delta((node,), src, None)
+        dM, dell = price
+        return self._greedy("extract", (node,), src, None, dM, dell, price)
 
     def subcommunities(self, cid: int) -> list[set[int]]:
         """Sub-communities of one community, via greedy recursion on its subgraph.
@@ -625,14 +647,15 @@ class SurpriseState:
     def _block_scan(self, kind: str, cid: int, dst: int | None) -> MoveOutcome:
         """Apply the first block of cid's plan whose move into dst raises S by more than TIE_EPS.
 
-        ``dst`` None means a new community.  A block B with no link into
-        dst is skipped, unpriced, when extracting it does not raise S by
-        more than TIE_EPS; it could not have been applied.  No block links
-        to None, so extraction skips every block that does not clear, and
-        prices one that does at the (M, ell) _plan priced: a memo hit.
-        Moving B (b nodes) into a community T (t nodes) that it has no
-        links to adds no intracommunity link, so ell changes exactly as
-        when B is extracted, while M grows by t*b >= 1 more (see
+        ``dst`` None means a new community.  Every block that is priced is
+        decided by _greedy(), with its price (dM, dell) as its key.  A block
+        B with no link into dst is skipped, unpriced, when extracting it
+        does not raise S by more than TIE_EPS; it could not have been
+        applied.  No block links to None, so extraction skips every block
+        that does not clear, and prices one that does at the (M, ell) _plan
+        priced: a memo hit.  Moving B (b nodes) into a community T (t nodes)
+        that it has no links to adds no intracommunity link, so ell changes
+        exactly as when B is extracted, while M grows by t*b >= 1 more (see
         _SubBlock).  At fixed ell the hypergeometric upper tail P(X >= ell)
         does not decrease as M grows, so S = -ln P does not increase: the
         move into T is no better than extraction.  The first applied block
@@ -644,9 +667,10 @@ class SurpriseState:
 
         On rejection, deltaS is an upper bound on the best block's deltaS
         (up to that rounding), not always the exact value: a skipped block
-        contributes its extraction deltaS.  An empty plan reports 0.0: its
-        certificate put every block's deltaS below -margin (see _plan()).
-        So deltaS is always finite.
+        contributes its extraction deltaS, and a block rejected on its
+        first-term bound that bound's deltaS (see _greedy()).  An empty plan
+        reports 0.0: its certificate put every block's deltaS below -margin
+        (see _plan()).  So deltaS is always finite.
         """
         plan = self._plan(cid)
         t = 0 if dst is None else len(self.partition.comms[dst])
@@ -656,11 +680,10 @@ class SurpriseState:
             if dst in blk.links or dS > TIE_EPS:
                 dM = blk.dM + t * len(blk.nodes)
                 dell = blk.dell + blk.links.get(dst, 0)
-                S_new = self._S_at(self.M + dM, self.ell + dell)
-                dS = S_new - self.S
-                if dS > TIE_EPS:
-                    self._move(blk.nodes, cid, dst, dM, dell, S_new)
-                    return MoveOutcome(True, dS, kind)
+                out = self._greedy(kind, blk.nodes, cid, dst, dM, dell, (dM, dell))
+                if out.accepted:
+                    return out
+                dS = out.deltaS
             best_dS = max(best_dS, dS)  # a skipped block's is its extraction's
         return MoveOutcome(False, best_dS, kind)
 
@@ -668,11 +691,14 @@ class SurpriseState:
         """The communities stepper() offers ci's plan to, in ascending order.
 
         Every other community when some block's extraction raises S by more
-        than TIE_EPS.  Otherwise those some block links to, leaving out the
-        pair of a singleton block {u} and a community cj when the price of
-        exchanging u into cj is in _rejected.  That price is the block's
-        extraction price plus t = |cj| in dM and u's links into cj in dell.
-        The argument is in stepper().
+        than TIE_EPS.  Otherwise the communities some block links to at a
+        price not in _rejected: a block of b nodes with k links into cj has
+        the price (dM + b*|cj|, dell + k) there (see _SubBlock).  A
+        community left out would have sub_exchange(ci, cj) apply nothing:
+        _block_scan() skips, unpriced, every block with no link into cj, and
+        _greedy() rejects every other block again (argument in _greedy()).
+        A one-node block {u} has the price of exchange(u, cj), so the
+        exchanges stepper() saw rejected leave out targets too.
         """
         plan = self._plan(ci)
         if any(blk.S_extract - self.S > TIE_EPS for blk in plan):
@@ -680,12 +706,10 @@ class SurpriseState:
         rejected, comms = self._rejected, self.partition.comms
         targets: set[int] = set()
         for blk in plan:
-            if len(blk.nodes) == 1:
-                targets.update(
-                    cj for cj, k in blk.links.items() if (blk.dM + len(comms[cj]), blk.dell + k) not in rejected
-                )
-            else:
-                targets.update(blk.links)
+            b = len(blk.nodes)
+            targets.update(
+                cj for cj, k in blk.links.items() if (blk.dM + b * len(comms[cj]), blk.dell + k) not in rejected
+            )
         return sorted(targets)
 
     # ----- driving loops --------------------------------------------------
@@ -698,12 +722,6 @@ class SurpriseState:
         failure to exchange a node between them; then extract nodes to
         exhaustion, then extract sub-communities to exhaustion, then
         exchange sub-communities with every other community to exhaustion.
-        A merge already rejected since the last applied move is not tried
-        again, nor an exchange or extraction at a price (dM, dell) already
-        rejected since then (see the module docstring).  An exchange or
-        extraction is priced by _delta() before the call, two lookups in
-        the link table, and the call, which prices it again, is made only
-        when that price is not in _rejected.
 
         The passes run in two phases.  Phase 1 leaves out the two
         sub-community moves and repeats until a pass applies nothing; phase
@@ -722,46 +740,32 @@ class SurpriseState:
         _rejected is not cleared when phase 2 begins.  Phase 1 ends with a
         pass that applied nothing, and only an applied move changes the
         state, so every entry still names a merge, or the price of a move,
-        priced and rejected in the current state.
+        rejected in the current state.
 
         Each member of the snapshot sorted(p.comms[ci]) is still in ci at
         its turn: a merge brings cj into ci (re-read after a renumbering),
         exchange(node, cj) moves only the member being visited, which then
         ends its turn, and exchange(nb, ci) brings nb in without emptying cj.
 
-        Two kinds of call are left out because their outcome is already
-        known: every pricing skipped has the same (dM, dell) as a move
-        already priced and rejected in the current state, or its block is
-        one sub_exchange would skip unpriced.  For an exchange or an
-        extraction that is the key itself; for a merge, the pair's
-        (dM, dell) is symmetric in the pair and cannot change until a move
-        is applied.  A skipped call would apply
-        nothing and draw nothing from the rng, so decisions and the rng
-        stream are those of the loop that makes every call.  Its kernel
-        evaluations are a sub-multiset of that loop's.  A skipped merge,
-        exchange or extraction would hit the memo or be rejected on its
-        first-term bound again.  A skipped sub_exchange would price its
-        one-node blocks exactly, and where such a block repeats an exchange
-        that was rejected on its bound, which memoizes nothing, the loop
-        that makes every call evaluates the kernel once more.
+        stepper() only reads _rejected; _greedy() fills it.  A merge is not
+        called when its pair is in _rejected, nor an exchange or an
+        extraction when its price is: _delta() prices it first, two lookups
+        in the link table.  _greedy() would reject such a call again
+        (argument in _greedy()), so these checks are kept only to save the
+        public call, its argument checks and its MoveOutcome: a prototype
+        without them, which also passed the price by a *-splat call, ran
+        15-23 % slower per instance.  A left-out call would apply nothing,
+        evaluate no kernel and draw nothing from the rng, so decisions,
+        kernel evaluations and the rng stream are those of the loop that
+        makes every call.
 
         sub_exchange(ci, cj) is called only for the targets _sub_targets
         lists, in ascending order; after an applied move the list is
         rebuilt and the scan resumes after cj.  An applied sub-exchange
         moves a proper block into an existing community, so the ids do not
-        change; a rejected one changes nothing, so the list stays valid.
-        When some block's extraction raises S by more than TIE_EPS, that
-        block is priced for every target, and every other community is
-        listed.  Otherwise sub_exchange skips, unpriced, every block with
-        no link into cj (see _block_scan()).  A singleton block {u} moved
-        out of ci (c nodes) into cj (t nodes) has dM = t + 1 - c and dell =
-        u's links into cj minus its links into ci, the (dM, dell) of
-        exchange(u, cj).  When that price is in _rejected, a move at that
-        price was priced and rejected in the current state, because every
-        applied move clears the set, and _block_scan's test, dS > TIE_EPS on
-        the kernel's value at the same (M, ell), rejects it too.  A target
-        that only such blocks reach is rejected by sub_exchange without
-        applying anything.
+        change; a rejected one changes only _rejected, so every target left
+        in the list is still one _sub_targets would list or one whose call
+        applies nothing.
 
         Returns acceptance counts per move kind.
         """
@@ -780,37 +784,24 @@ class SurpriseState:
                         if cj == ci:
                             continue
                         key = ("merge", ci, cj) if ci < cj else ("merge", cj, ci)
-                        if key not in rejected:
-                            if self.merge(ci, cj).accepted:
-                                counts["merge"] += 1
-                                ci = p.assign[node]
-                                continue
-                            rejected.add(key)
-                        if len(p.comms[ci]) > 1:
-                            price = self._delta((node,), ci, cj)
-                            if price not in rejected:
-                                if self.exchange(node, cj).accepted:
-                                    counts["exchange"] += 1
-                                    break  # node left ci; go to the next member
-                                rejected.add(price)
-                        if len(p.comms[cj]) > 1:
-                            price = self._delta((nb,), cj, ci)
-                            if price not in rejected:
-                                if self.exchange(nb, ci).accepted:
-                                    counts["exchange"] += 1
-                                else:
-                                    rejected.add(price)
+                        if key not in rejected and self.merge(ci, cj).accepted:
+                            counts["merge"] += 1
+                            ci = p.assign[node]
+                            continue
+                        if len(p.comms[ci]) > 1 and self._delta((node,), ci, cj) not in rejected:
+                            if self.exchange(node, cj).accepted:
+                                counts["exchange"] += 1
+                                break  # node left ci; go to the next member
+                        if len(p.comms[cj]) > 1 and self._delta((nb,), cj, ci) not in rejected:
+                            if self.exchange(nb, ci).accepted:
+                                counts["exchange"] += 1
                 # extract to exhaustion: sweep ci while a sweep extracts a node
                 while len(p.comms[ci]) > 1:
                     extracted = counts["extract"]
                     for node in sorted(p.comms[ci]):
-                        if len(p.comms[ci]) > 1:
-                            price = self._delta((node,), ci, None)
-                            if price not in rejected:
-                                if self.extract(node).accepted:
-                                    counts["extract"] += 1
-                                else:
-                                    rejected.add(price)
+                        if len(p.comms[ci]) > 1 and self._delta((node,), ci, None) not in rejected:
+                            if self.extract(node).accepted:
+                                counts["extract"] += 1
                     if counts["extract"] == extracted:
                         break
                 if not sub_moves:

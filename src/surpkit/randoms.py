@@ -146,7 +146,8 @@ def gamma_mle_discrete(samples: Sequence[int], x0: int = 1) -> float:
     """Maximum-likelihood exponent for integer power-law samples.
 
     Solves dzeta/zeta (gamma, x0) = -mean(ln k) by bracketed root finding
-    on gamma in [1.01, 20], to 1e-8.
+    on gamma in [1.01, 20], to 1e-8, and clamps to the bracket edge when the
+    root lies outside it.  Samples that all equal x0 are refused.
     """
     # imported here, at its one use: at module level scipy.optimize would
     # load with every CLI command and about double its peak memory
@@ -157,6 +158,9 @@ def gamma_mle_discrete(samples: Sequence[int], x0: int = 1) -> float:
         raise ValueError("need at least 2 samples")
     if samples.min() < x0:
         raise ValueError(f"samples below the support start {x0}")
+    if samples.max() == x0:
+        # the likelihood then rises monotonically in gamma: no finite maximum
+        raise ValueError("all samples equal the support start; exponent undefined")
     target = -float(np.log(samples).mean())
 
     def f(g: float) -> float:

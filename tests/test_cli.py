@@ -813,8 +813,11 @@ class TestValueFiles:
             ("0.5 2 3\n", [], "samples below the support start 1.0"),
             ("2\n", ["--discrete"], "need at least 2 samples"),
             ("0 2 3\n", ["--discrete"], "samples below the support start 1"),
+            ("1\n1\n", [], "all samples equal the support start; exponent undefined"),
+            # used to print gamma=20.00000000, the bracket edge, and exit 0
+            ("1\n1\n", ["--discrete"], "all samples equal the support start; exponent undefined"),
         ],
-        ids=["one-sample", "below-x0", "discrete-one-sample", "discrete-below-x0"],
+        ids=["one-sample", "below-x0", "discrete-one-sample", "discrete-below-x0", "all-at-x0", "discrete-all-at-x0"],
     )
     def test_mle_refusal_names_the_file(self, capsys, tmp_path, text, flags, message):
         path = tmp_path / "samples.txt"

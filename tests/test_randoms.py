@@ -187,6 +187,14 @@ class TestMLE:
         assert best >= lnL_continuous(estimate + 0.05, draws)
         assert best >= lnL_continuous(estimate - 0.05, draws)
 
+    @pytest.mark.parametrize("x0", [1, 3])
+    def test_discrete_degenerate(self, x0):
+        # every sample at x0: the likelihood rises monotonically in gamma,
+        # so the bracket edge 20.0 used to be returned as the estimate
+        with pytest.raises(ValueError, match="all samples equal the support start; exponent undefined"):
+            gamma_mle_discrete([x0, x0], x0)
+        assert gamma_mle_discrete([x0, x0, x0 + 1], x0) < 20.0  # one sample above x0 suffices
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             gamma_mle_discrete([0, 3, 5])
