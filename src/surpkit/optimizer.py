@@ -46,6 +46,9 @@ the move when it raises S by more than TIE_EPS, and otherwise records the
 caller's key in _rejected: the pair for a merge, the price for any other
 move.  A rejected key stays rejected until a move is applied (argument in
 _greedy()), so stepper() leaves out a call whose key is in _rejected.
+It reads the key of an exchange or extraction straight from the link
+table, _delta()'s one-node branch written out, and reads each node's
+neighbours from lists it sorts once per call (arguments in stepper()).
 Every member of a community with the same internal degree, as in a
 clique, has the same extraction price, so one rejection stands for all of
 them.  By the same argument stepper() offers a community's blocks only to
@@ -60,6 +63,8 @@ first_term_bound(), bounds S from above.  On a memo miss whose term loop
 would run (ell < min(M, n)), _greedy() takes bound =
 max(first_term_bound(F, M, n, ell), 0.0) and rejects the move unpriced
 when not (bound - S > TIE_EPS), the acceptance test's own expression.
+Three comparisons guard the bound as the kernel's feasibility check
+would, raising its message on a corrupt state (argument in _greedy()).
 This is exact, bit for bit.  The kernel returns -((lt0 + mx) + ln acc),
 clamped at 0.0, with mx >= 0 and acc >= 1, and its lt0 is bit for bit
 -first_term_bound().  Round-to-nearest addition and subtraction are
@@ -95,7 +100,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Collection
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -127,8 +131,7 @@ class MoveOutcome(NamedTuple):
     kind: str
 
 
-@dataclass(frozen=True)
-class _SubBlock:
+class _SubBlock(NamedTuple):
     """One proper sub-community of a community, priced against the current state.
 
     ``dM`` and ``dell`` are _delta() of moving the block into a fresh
@@ -137,6 +140,9 @@ class _SubBlock:
     community it touches.  Moving the block into a community of t nodes instead adds
     t*b to dM (b the block's size) and its links into that community to
     dell.
+
+    A named tuple, as MoveOutcome: _plan() builds one per block, and a
+    tuple is cheaper to build and read than a frozen dataclass.
     """
 
     nodes: set[int]
@@ -254,10 +260,11 @@ class SurpriseState:
         for node in nodes:
             for nb in adj[node]:
                 counts = node_links[nb]
-                if counts[src_lab] == 1:
+                k = counts[src_lab]
+                if k == 1:
                     del counts[src_lab]
                 else:
-                    counts[src_lab] -= 1
+                    counts[src_lab] = k - 1
                 counts[dst_lab] = counts.get(dst_lab, 0) + 1
 
     # ----- the one move: price it, apply it ------------------------------
@@ -274,26 +281,19 @@ class SurpriseState:
         into src, plus twice the edges inside the moved set (counted among
         the links into src, but they stay intracommunity).  No row holds
         the key None, so the links into a new community read 0.
-
-        A whole community moved into another (a merge) gains exactly the
-        edges between the two, and that count is read from the smaller of
-        them: the sum of its members' links into the other.  Either side
-        gives the same int, since each edge between the pair is counted
-        once in the row of its endpoint on the summed side, so (dM, dell),
-        the memo key and every decision are the same whichever side is
-        read.  The smaller side costs min(c, t) lookups.
+        A whole community moved into another is a merge, priced by
+        _merge_price().
         """
         comms, lab = self.partition.comms, self._lab
         b = len(nodes)
         c = len(comms[src])
+        if b == c and dst is not None:
+            return self._merge_price(dst, src)
         t = 0 if dst is None else len(comms[dst])
         dM = b * (t + b - c)
         node_links = self._node_links
         ls = lab[src]
         ld = None if dst is None else lab[dst]
-        if b == c and dst is not None:
-            side, other = (nodes, ld) if c <= t else (comms[dst], ls)
-            return dM, sum(node_links[u].get(other, 0) for u in side)
         if b == 1:
             (u,) = nodes
             links = node_links[u]
@@ -304,6 +304,26 @@ class SurpriseState:
             links = node_links[u]
             dell += links.get(ld, 0) - links.get(ls, 0) + len(adj[u] & nodes)
         return dM, dell
+
+    def _merge_price(self, cA: int, cB: int) -> tuple[int, int]:
+        """(dM, dell) of merging cB into cA: _delta(comms[cB], cB, cA) without its generic preamble.
+
+        With b = c = |cB| and t = |cA|, _delta's dM = b*(t + b - c) is
+        |cB|*|cA|.  The merge gains exactly the edges between the two, and
+        that count is read from the smaller of them: the sum of its
+        members' links into the other.  Either side gives the same int,
+        since each edge between the pair is counted once in the row of its
+        endpoint on the summed side, so (dM, dell), the memo key and every
+        decision are the same whichever side is read; on a tie in size cB
+        is read.  The smaller side costs min(|cA|, |cB|) lookups.
+        """
+        comms, lab, node_links = self.partition.comms, self._lab, self._node_links
+        nodes, target = comms[cB], comms[cA]
+        if len(nodes) <= len(target):
+            side, other = nodes, lab[cA]
+        else:
+            side, other = target, lab[cB]
+        return len(nodes) * len(target), sum(node_links[u].get(other, 0) for u in side)
 
     def _move(self, nodes: Collection[int], src: int, dst: int | None, dM: int, dell: int, S_new: float) -> None:
         """Apply a move priced by _delta(nodes, src, dst), with no acceptance test.
@@ -364,6 +384,15 @@ class SurpriseState:
         the module docstring).  Its deltaS is then bound - S: at least the
         kernel's deltaS and at most TIE_EPS.  Nothing is memoized for it.
 
+        first_term_bound() checks nothing, so the screen guards it as the
+        kernel would: it calls check_feasible(), which raises, exactly when
+        ell < 0, M > F or n - ell > F - M.  On the screen's branch, ell < M
+        and ell < n, those are the only ways to fail it: ell >= 0 and ell <
+        M give M >= 0, 0 <= n <= F holds for every graph, ell <= min(M, n)
+        holds, and the rest are the three conditions.  So a corrupt state
+        raises check_feasible()'s own message, and a feasible move pays
+        three comparisons instead of a call.
+
         A rejected key stays rejected until a move is applied.  The
         decision reads only (M + dM, ell + dell) and S (the memo, the
         screen and the kernel read nothing else), and until a move is
@@ -381,8 +410,9 @@ class SurpriseState:
         S_new = self._S_memo.get((M, ell))
         if S_new is None:
             F, n = self.graph.F, self.graph.n
-            if ell < min(M, n):
-                check_feasible(F, M, n, ell)
+            if ell < M and ell < n:
+                if ell < 0 or M > F or n - ell > F - M:
+                    check_feasible(F, M, n, ell)
                 bound = max(first_term_bound(F, M, n, ell), 0.0)
                 if not (bound - self.S > TIE_EPS):
                     self._rejected.add(key)
@@ -404,7 +434,7 @@ class SurpriseState:
         if cA == cB:
             raise ValueError("cannot merge a community with itself")
         nodes = self.partition.comms[cB]
-        dM, dell = self._delta(nodes, cB, cA)
+        dM, dell = self._merge_price(cA, cB)
         return self._greedy("merge", nodes, cB, cA, dM, dell, ("merge", cA, cB) if cA < cB else ("merge", cB, cA))
 
     def exchange(self, node: int, cTo: int) -> MoveOutcome:
@@ -749,15 +779,36 @@ class SurpriseState:
 
         stepper() only reads _rejected; _greedy() fills it.  A merge is not
         called when its pair is in _rejected, nor an exchange or an
-        extraction when its price is: _delta() prices it first, two lookups
-        in the link table.  _greedy() would reject such a call again
-        (argument in _greedy()), so these checks are kept only to save the
-        public call, its argument checks and its MoveOutcome: a prototype
-        without them, which also passed the price by a *-splat call, ran
-        15-23 % slower per instance.  A left-out call would apply nothing,
-        evaluate no kernel and draw nothing from the rng, so decisions,
-        kernel evaluations and the rng stream are those of the loop that
-        makes every call.
+        extraction when its price is.  _greedy() would reject such a call
+        again (argument in _greedy()), so these checks are kept only to
+        save the public call, its argument checks and its MoveOutcome: a
+        prototype without them, which also passed the price by a *-splat
+        call, ran 15-23 % slower per instance.  A left-out call would apply
+        nothing, evaluate no kernel and draw nothing from the rng, so
+        decisions, kernel evaluations and the rng stream are those of the
+        loop that makes every call.
+
+        The price of a node move is read inline from the link table, with
+        no _delta() call: it is _delta()'s one-node branch written out.
+        Moving one node (b = 1) out of a community of c nodes into one of
+        t gives dM = b*(t + b - c) = t + 1 - c and dell = its links into
+        the target's label minus its links into its own.  So exchange(node,
+        cj) is keyed (|cj| + 1 - |ci|, row[lab[cj]] - row[lab[ci]]),
+        exchange(nb, ci) the same with ci and cj swapped and nb's row, and
+        extract(node) (1 - |ci|, -row[lab[ci]]), a new community having t
+        = 0 and no links; an absent label reads 0, as in _delta().  Every
+        key is read in the state the call would see: a rejected call
+        changes nothing, so the reverse exchange sees the sizes the forward
+        one saw.  These are ints equal to _delta()'s, so the keys, and the
+        calls left out, are the same.
+
+        Each node's neighbours are sorted once per stepper() call, into a
+        list the loop reads, instead of at every visit through
+        graph.neighbors(): the first pass visits every node, so building
+        them up front costs no more than that pass did, and later passes
+        read them for free.  The lists live here, not in Graph, whose
+        construction perfbench times as set-up, and they hold the same
+        order neighbors() returns.
 
         sub_exchange(ci, cj) is called only for the targets _sub_targets
         lists, in ascending order; after an applied move the list is
@@ -771,35 +822,43 @@ class SurpriseState:
         """
         counts = {kind: 0 for kind in MOVE_KINDS}
         p = self.partition
-        rejected = self._rejected
+        comms, assign = p.comms, p.assign
+        lab, node_links, rejected = self._lab, self._node_links, self._rejected
+        neighbors = [sorted(nbs) for nbs in self.graph.adj]
         sub_moves = False  # phase 1: merge, exchange and extract only
         while True:
             applied = sum(counts.values())
             ci = 0
             while ci < p.Nc:
                 # merge / exchange driven by the members' neighborhoods
-                for node in sorted(p.comms[ci]):
-                    for nb in self.graph.neighbors(node):
-                        cj = p.assign[nb]
+                for node in sorted(comms[ci]):
+                    row = node_links[node]
+                    for nb in neighbors[node]:
+                        cj = assign[nb]
                         if cj == ci:
                             continue
                         key = ("merge", ci, cj) if ci < cj else ("merge", cj, ci)
                         if key not in rejected and self.merge(ci, cj).accepted:
                             counts["merge"] += 1
-                            ci = p.assign[node]
+                            ci = assign[node]
                             continue
-                        if len(p.comms[ci]) > 1 and self._delta((node,), ci, cj) not in rejected:
+                        c, t = len(comms[ci]), len(comms[cj])
+                        li, lj = lab[ci], lab[cj]
+                        if c > 1 and (t + 1 - c, row.get(lj, 0) - row.get(li, 0)) not in rejected:
                             if self.exchange(node, cj).accepted:
                                 counts["exchange"] += 1
                                 break  # node left ci; go to the next member
-                        if len(p.comms[cj]) > 1 and self._delta((nb,), cj, ci) not in rejected:
-                            if self.exchange(nb, ci).accepted:
-                                counts["exchange"] += 1
+                        if t > 1:
+                            nb_row = node_links[nb]
+                            if (c + 1 - t, nb_row.get(li, 0) - nb_row.get(lj, 0)) not in rejected:
+                                if self.exchange(nb, ci).accepted:
+                                    counts["exchange"] += 1
                 # extract to exhaustion: sweep ci while a sweep extracts a node
-                while len(p.comms[ci]) > 1:
+                while len(comms[ci]) > 1:
                     extracted = counts["extract"]
-                    for node in sorted(p.comms[ci]):
-                        if len(p.comms[ci]) > 1 and self._delta((node,), ci, None) not in rejected:
+                    for node in sorted(comms[ci]):
+                        c = len(comms[ci])
+                        if c > 1 and (1 - c, -node_links[node].get(lab[ci], 0)) not in rejected:
                             if self.extract(node).accepted:
                                 counts["extract"] += 1
                     if counts["extract"] == extracted:
@@ -808,11 +867,11 @@ class SurpriseState:
                     ci += 1
                     continue
                 # sub-community extraction to exhaustion
-                while len(p.comms[ci]) > 1 and self.sub_extract(ci).accepted:
+                while len(comms[ci]) > 1 and self.sub_extract(ci).accepted:
                     counts["sub_extract"] += 1
                 # sub-community exchanges to exhaustion, over the candidate
                 # targets only
-                while len(p.comms[ci]) > 1:
+                while len(comms[ci]) > 1:
                     exchanged = counts["sub_exchange"]
                     targets = self._sub_targets(ci)
                     k = 0
@@ -821,7 +880,7 @@ class SurpriseState:
                         k += 1
                         if self.sub_exchange(ci, cj).accepted:
                             counts["sub_exchange"] += 1
-                            if len(p.comms[ci]) < 2:
+                            if len(comms[ci]) < 2:
                                 break
                             targets = self._sub_targets(ci)
                             k = bisect_right(targets, cj)
@@ -840,7 +899,7 @@ class SurpriseState:
         applied with probability exp(deltaS / T).  Returns the number of
         applied moves.
         """
-        if T <= 0:
+        if not T > 0:  # NaN too
             raise ValueError("temperature must be positive")
         accepted = 0
         for _ in range(self.graph.K):
@@ -967,8 +1026,14 @@ def sample_partitions(
     Runs Monte-Carlo sweeps cycling through the temperatures 2, 1, 0.5
     and 0.25, snapshotting the partition after each sweep, until ``count``
     distinct partitions were seen (or ``max_sweeps`` sweeps were spent).
-    Also records the greedy optimum and its shake neighborhood.
+    Also records the greedy optimum and its shake neighborhood.  Raises
+    ValueError, before drawing from ``rng``, when ``count`` < 1 or
+    ``max_sweeps`` < 0.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     rng = np.random.default_rng(rng)
     seen: dict[tuple[int, ...], Partition] = {}
 

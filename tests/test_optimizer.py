@@ -2,7 +2,9 @@ import hashlib
 import importlib
 import math
 import random
+import re
 from collections import Counter
+from bisect import bisect_right
 from contextlib import contextmanager, nullcontext
 from itertools import combinations
 
@@ -915,6 +917,94 @@ def counted_run(g, p, seed, loop):
     return counts, state, calls, kernel_args
 
 
+def delta_keyed_stepper(state):
+    """stepper() with its skip keys priced by _delta() and its neighbours read
+    through graph.neighbors(), as it was before it read both inline."""
+    counts = {kind: 0 for kind in MOVE_KINDS}
+    p = state.partition
+    rejected = state._rejected
+    sub_moves = False
+    while True:
+        applied = sum(counts.values())
+        ci = 0
+        while ci < p.Nc:
+            for node in sorted(p.comms[ci]):
+                for nb in state.graph.neighbors(node):
+                    cj = p.assign[nb]
+                    if cj == ci:
+                        continue
+                    key = ("merge", ci, cj) if ci < cj else ("merge", cj, ci)
+                    if key not in rejected and state.merge(ci, cj).accepted:
+                        counts["merge"] += 1
+                        ci = p.assign[node]
+                        continue
+                    if len(p.comms[ci]) > 1 and state._delta((node,), ci, cj) not in rejected:
+                        if state.exchange(node, cj).accepted:
+                            counts["exchange"] += 1
+                            break
+                    if len(p.comms[cj]) > 1 and state._delta((nb,), cj, ci) not in rejected:
+                        if state.exchange(nb, ci).accepted:
+                            counts["exchange"] += 1
+            while len(p.comms[ci]) > 1:
+                extracted = counts["extract"]
+                for node in sorted(p.comms[ci]):
+                    if len(p.comms[ci]) > 1 and state._delta((node,), ci, None) not in rejected:
+                        if state.extract(node).accepted:
+                            counts["extract"] += 1
+                if counts["extract"] == extracted:
+                    break
+            if not sub_moves:
+                ci += 1
+                continue
+            while len(p.comms[ci]) > 1 and state.sub_extract(ci).accepted:
+                counts["sub_extract"] += 1
+            while len(p.comms[ci]) > 1:
+                exchanged = counts["sub_exchange"]
+                targets = state._sub_targets(ci)
+                k = 0
+                while k < len(targets):
+                    cj = targets[k]
+                    k += 1
+                    if state.sub_exchange(ci, cj).accepted:
+                        counts["sub_exchange"] += 1
+                        if len(p.comms[ci]) < 2:
+                            break
+                        targets = state._sub_targets(ci)
+                        k = bisect_right(targets, cj)
+                if counts["sub_exchange"] == exchanged:
+                    break
+            ci += 1
+        if sum(counts.values()) == applied:
+            if sub_moves:
+                return counts
+            sub_moves = True
+
+
+def recorded_calls(g, p, seed, loop):
+    """Run ``loop`` as every state's stepper(), the recursion's too, recording
+    each public move call as (name, args, accepted), in call order.
+
+    Returns the calls and the state.
+    """
+    calls = []
+
+    def recording(name, method):
+        def recorded(state, *args):
+            out = method(state, *args)
+            calls.append((name, args, out.accepted))
+            return out
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in MOVE_KINDS:
+            mp.setattr(SurpriseState, name, recording(name, getattr(SurpriseState, name)))
+        mp.setattr(SurpriseState, "stepper", loop)
+        state = SurpriseState(g, p, rng=seed)
+        state.stepper()
+    return calls, state
+
+
 class TestRejectedMoves:
     """stepper(), with its rejected-move set and the sub-community calls it
     leaves out, against reference_stepper, which makes every call, at every
@@ -1012,6 +1102,35 @@ class TestRejectedMoves:
         reference_stepper(SurpriseState(g))
         assert calls
 
+    @staticmethod
+    def assert_same_calls(g, p=None, seed=0):
+        """stepper(), whose skip keys are read inline from the link table,
+        makes the same public move calls, in the same order and with the
+        same decisions, as delta_keyed_stepper."""
+        calls, fast = recorded_calls(g, p, seed, SurpriseState.stepper)
+        ref_calls, ref = recorded_calls(g, p, seed, delta_keyed_stepper)
+        assert calls == ref_calls
+        assert fast.partition.assign == ref.partition.assign
+        assert fast.S.hex() == ref.S.hex()
+        return calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_partitions(max_k=14, max_nc=6))
+    def test_inline_keys_make_the_same_calls_from_any_start(self, gp):
+        self.assert_same_calls(*gp)
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_graphs(min_k=8, max_k=20))
+    def test_inline_keys_make_the_same_calls_from_singletons(self, g):
+        self.assert_same_calls(g)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inline_keys_make_the_same_calls_on_degraded_benchmark(self, seed):
+        calls = self.assert_same_calls(degraded_k63(seed), seed=seed)
+        made = {(name, accepted) for name, _, accepted in calls}
+        # every node move is both rejected and applied somewhere in the run
+        assert {(name, a) for name in ("merge", "exchange", "extract") for a in (True, False)} <= made
+
     def test_rejected_block_leaves_its_target_out(self):
         # {0, 2, 4} is the path 0-2-4, whose plan is [{0, 2}, {4}]; only the
         # two-node block links to {1, 5}, so rejecting it leaves no target
@@ -1077,6 +1196,30 @@ class TestFirstTermScreen:
         state.ell, state.S = 0, math.inf
         with pytest.raises(ValueError, match="need 0 <= ell <= min"):
             state.extract(0)
+
+    @pytest.mark.parametrize("name, args", [("extract", (0,)), ("merge", (0, 1))])
+    @pytest.mark.parametrize(
+        "M_new, ell_new, message",
+        [
+            (10, -1, "need 0 <= ell <= min(M, n)"),
+            (56, 0, "need 0 <= M <= F"),
+            (55, 0, "infeasible: n - ell"),
+        ],
+        ids=["ell<0", "M>F", "n-ell>F-M"],
+    )
+    def test_every_infeasible_move_still_raises(self, toy, truth, name, args, M_new, ell_new, message):
+        # the state is corrupted so that the move lands at (M_new, ell_new),
+        # on the screen's branch (ell < M and ell < n) with the memo empty;
+        # S = inf would have the bound reject it unless the guard runs
+        # check_feasible() first.  The toy graph has F = 55 and n = 16
+        state = SurpriseState(toy, truth)
+        assert (toy.F, toy.n) == (55, 16)
+        nodes, src, dst = (state.partition.comms[1], 1, 0) if name == "merge" else ((0,), 0, None)
+        dM, dell = state._delta(nodes, src, dst)
+        state.M, state.ell, state.S = M_new - dM, ell_new - dell, math.inf
+        assert ell_new < M_new and ell_new < toy.n
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(state, name)(*args)
 
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_partitions(max_k=9, max_nc=4))
@@ -1426,6 +1569,14 @@ class TestAnneal:
         with pytest.raises(ValueError):
             state.anneal_step(0.0)
 
+    @pytest.mark.parametrize("T", [float("nan"), -1.0, -math.inf])
+    def test_temperature_refused_before_any_draw(self, toy, T):
+        state = SurpriseState(toy, rng=0)
+        before = (list(state.partition.assign), state.rng.bit_generator.state)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            state.anneal_step(T)
+        assert (state.partition.assign, state.rng.bit_generator.state) == before
+
     def test_metropolis_rate_at_minus_T(self, toy):
         state = SurpriseState(toy, rng=123)
         trials = 20_000
@@ -1588,6 +1739,17 @@ class TestDeterminism:
         parts = sample_partitions(toy, 10, rng=3, max_sweeps=200)
         keys = {p.canonical() for p in parts}
         assert len(keys) == len(parts) >= 2
+
+    @pytest.mark.parametrize(
+        "count, max_sweeps, message",
+        [(0, 10, "count must be >= 1"), (-3, 10, "count must be >= 1"), (3, -1, "max_sweeps must be >= 0")],
+    )
+    def test_sample_partitions_refuses_bad_counts(self, toy, count, max_sweeps, message):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sample_partitions(toy, count, rng=rng, max_sweeps=max_sweeps)
+        assert rng.bit_generator.state == before
 
 
 class SurpriseStateMachine(RuleBasedStateMachine):
