@@ -23,9 +23,11 @@ from surpkit.partition import Partition
 
 # ----- Pielou-controlled size lists --------------------------------------
 
-# pielouer's starting size, and when both generators stop: within _TOL of
-# the target evenness, or after _MAX_ITER proposals
+# pielouer's starting size, the smallest size either generator gives, and
+# when both stop: within _TOL of the target evenness, or after _MAX_ITER
+# proposals
 _SIZE_START = 25
+_SIZE_FLOOR = 2
 _TOL = 0.01
 _MAX_ITER = 100_000
 
@@ -61,10 +63,9 @@ def _anneal_sizes(
 def pielouer(
     N: int,
     target: float,
-    size_floor: int = 2,
     rng: np.random.Generator | int | None = None,
 ) -> list[int]:
-    """A list of N sizes whose Pielou evenness is close to ``target``.
+    """A list of N sizes, each at least 2, whose Pielou evenness is close to ``target``.
 
     Starts from N equal sizes and applies random single-unit increments or
     decrements, keeping those that move the evenness toward the target,
@@ -74,13 +75,13 @@ def pielouer(
     def propose(s: list[int], r: np.random.Generator) -> list[int] | None:
         i = int(r.integers(N))
         step = 1 if r.random() < 0.5 else -1
-        if s[i] + step < size_floor:
+        if s[i] + step < _SIZE_FLOOR:
             return None
         s = list(s)
         s[i] += step
         return s
 
-    sizes = [max(size_floor, _SIZE_START)] * N
+    sizes = [_SIZE_START] * N
     return _anneal_sizes(sizes, target, propose, np.random.default_rng(rng))
 
 
@@ -88,7 +89,6 @@ def pielouer_nodes(
     N: int,
     target: float,
     K_range: tuple[int, int],
-    size_floor: int = 2,
     rng: np.random.Generator | int | None = None,
 ) -> list[int]:
     """As :func:`pielouer`, with the total held inside ``K_range``.
@@ -100,16 +100,16 @@ def pielouer_nodes(
     lo, hi = K_range
     if lo > hi:
         raise ValueError(f"total range ({lo}, {hi}) is empty")
-    if N * size_floor > hi:
-        raise ValueError(f"cannot fit {N} sizes >= {size_floor} into a total of {hi}")
-    total = max(lo, N * size_floor)
+    if N * _SIZE_FLOOR > hi:
+        raise ValueError(f"cannot fit {N} sizes >= {_SIZE_FLOOR} into a total of {hi}")
+    total = max(lo, N * _SIZE_FLOOR)
     # range(N) is empty for N <= 0, so nothing divides by zero before
     # _anneal_sizes refuses N < 2
     sizes = [total // N + (i < total % N) for i in range(N)]
 
     def propose(s: list[int], r: np.random.Generator) -> list[int] | None:
         i, j = (int(x) for x in r.choice(N, size=2, replace=False))
-        if s[i] - 1 < size_floor:
+        if s[i] - 1 < _SIZE_FLOOR:
             return None
         s = list(s)
         s[i] -= 1

@@ -209,15 +209,18 @@ def peak_walk(
 ) -> list[tuple[float, float]]:
     """Cumulative distance walked through the ``top`` best entries.
 
-    Values are normalized to [0, 1]; entries are visited in descending
-    value order (ties by index) and the distance between consecutive
-    entries accumulates.  Returns (cumulative distance, height) pairs.
+    Values must be finite, and are normalized to [0, 1]; entries are
+    visited in descending value order (ties by index) and the distance
+    between consecutive entries accumulates.  Returns (cumulative
+    distance, height) pairs.
     """
     D = _validate_D(D)
     values = np.asarray(values, dtype=float)
     N = D.shape[0]
     if values.shape != (N,):
         raise ValueError("one value per distance-matrix row required")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     if not (1 <= top <= N):
         raise ValueError(f"top must be in [1, {N}]")
     lo, hi = float(values.min()), float(values.max())

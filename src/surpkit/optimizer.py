@@ -59,14 +59,14 @@ _sub_targets()).
 The greedy moves price only a move that could be accepted.  Surprise is
 -ln of a hypergeometric upper tail (Aldecoa & Marin, PLoS ONE 6:e24195,
 2011), and a tail is at least its first term, so -ln pmf(ell),
-first_term_bound(), bounds S from above.  On a memo miss whose term loop
-would run (ell < min(M, n)), _greedy() takes bound =
+first_term_bound(), bounds S from above.  The kernel computes its first
+term and checks feasibility by calling it (see surpkit.surprise), so the
+screen raises the kernel's error on a corrupt state.  On a memo miss
+whose term loop would run (ell < min(M, n)), _greedy() takes bound =
 max(first_term_bound(F, M, n, ell), 0.0) and rejects the move unpriced
 when not (bound - S > TIE_EPS), the acceptance test's own expression.
-Three comparisons guard the bound as the kernel's feasibility check
-would, raising its message on a corrupt state (argument in _greedy()).
 This is exact, bit for bit.  The kernel returns -((lt0 + mx) + ln acc),
-clamped at 0.0, with mx >= 0 and acc >= 1, and its lt0 is bit for bit
+clamped at 0.0, with mx >= 0 and acc >= 1, and its lt0 is
 -first_term_bound().  Round-to-nearest addition and subtraction are
 monotone, so the kernel's S_new <= bound and fl(S_new - S) <= fl(bound -
 S) <= TIE_EPS: no margin is needed, at any size of S.  Where ell =
@@ -106,7 +106,7 @@ import numpy as np
 
 from surpkit.graph import Graph
 from surpkit.partition import Partition
-from surpkit.surprise import check_feasible, first_term_bound, ln_factorial, partition_stats, surprise
+from surpkit.surprise import first_term_bound, ln_factorial, partition_stats, surprise
 
 # strict-improvement threshold; exact ties are handled by shake()
 TIE_EPS = 1e-12
@@ -384,15 +384,6 @@ class SurpriseState:
         the module docstring).  Its deltaS is then bound - S: at least the
         kernel's deltaS and at most TIE_EPS.  Nothing is memoized for it.
 
-        first_term_bound() checks nothing, so the screen guards it as the
-        kernel would: it calls check_feasible(), which raises, exactly when
-        ell < 0, M > F or n - ell > F - M.  On the screen's branch, ell < M
-        and ell < n, those are the only ways to fail it: ell >= 0 and ell <
-        M give M >= 0, 0 <= n <= F holds for every graph, ell <= min(M, n)
-        holds, and the rest are the three conditions.  So a corrupt state
-        raises check_feasible()'s own message, and a feasible move pays
-        three comparisons instead of a call.
-
         A rejected key stays rejected until a move is applied.  The
         decision reads only (M + dM, ell + dell) and S (the memo, the
         screen and the kernel read nothing else), and until a move is
@@ -411,8 +402,6 @@ class SurpriseState:
         if S_new is None:
             F, n = self.graph.F, self.graph.n
             if ell < M and ell < n:
-                if ell < 0 or M > F or n - ell > F - M:
-                    check_feasible(F, M, n, ell)
                 bound = max(first_term_bound(F, M, n, ell), 0.0)
                 if not (bound - self.S > TIE_EPS):
                     self._rejected.add(key)

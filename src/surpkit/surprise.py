@@ -6,6 +6,11 @@ links, when ``M`` of the ``F`` possible node pairs lie inside communities.
 The sum is evaluated in log space: the largest term is factored out and the
 remaining term ratios are summed in linear space, so values in the
 thousands are representable without underflow.
+
+first_term_bound() is the one place that knows the first term, j = ell,
+and its domain: it checks feasibility and reads the ln-factorial table
+for the term, and surprise() starts its sum from that value.  So the
+optimizer's screen and certificate bound the kernel with its own floats.
 """
 
 from __future__ import annotations
@@ -32,30 +37,18 @@ _table_lock = threading.Lock()  # serializes extension of _table and _logs
 def _grow(m: int, n: int) -> None:
     """Extend _table so that index m is valid and _logs so that index n is.
 
-    The table is one running sum: a new stretch starts its cumsum from the
-    last entry, so entry m is ln 2 + ... + ln m added in index order, the
-    same float however the table grew.
-
-    The new table is allocated once and its extension filled in place, with
-    no temporary as large as the extension.  The extension first holds its
-    own indices, a cumsum of ones from t.size that is exact since every
-    index is below 2**53, so np.log sees the floats an arange would give.
-    The old last entry is added to the first log and np.cumsum then adds in
-    index order, as a cumsum of a separate array would.
+    The table is rebuilt in one pass over a single array: entry i starts
+    as i (1 at i = 0, so ln 0! = ln 1! = 0), then np.log and np.cumsum
+    run in place.  So entry m is ln 2 + ... + ln m added in index order,
+    the same float however the table grew.
     """
     global _table, _logs
     with _table_lock:
-        t = _table
-        if m >= t.size:
-            table = np.empty(max(m + 1, 2 * t.size))
-            table[: t.size] = t
-            ext = table[t.size :]
-            ext.fill(1.0)
-            ext[0] = t.size
-            np.cumsum(ext, out=ext)
-            np.log(ext, out=ext)
-            ext[0] += t[-1]
-            np.cumsum(ext, out=ext)
+        if m >= _table.size:
+            table = np.arange(max(m + 1, 2 * _table.size), dtype=float)
+            table[0] = 1.0
+            np.log(table, out=table)
+            np.cumsum(table, out=table)
             _table = table
         logs = _logs
         if n >= len(logs):
@@ -104,26 +97,15 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
 
     Returns -ln sum_{j=ell}^{min(M,n)} C(M,j) C(F-M,n-j) / C(F,n), always >= 0.
     """
-    check_feasible(F, M, n, ell)
-
+    lt0 = -first_term_bound(F, M, n, ell)
     jmax = min(M, n)
     # ln(j) and ln(n-j+1) come from the list, and ln(M-j+1) too when M <= n;
     # the entries are math.log's own results, so the bits are unchanged
     logs = _logs
-    if F >= _table.size or n >= len(logs):
-        _grow(F, n)
+    if n >= len(logs):
+        _grow(0, n)
         logs = _logs
     logs_M = logs if M <= n else None
-    # log of the first term, j = ell: ln_choose's nine table reads in
-    # ln_choose's order, so the bits are its own; check_feasible keeps
-    # every index in [0, F].  A memoryview item is the same float as
-    # _table.item's, read without a method call
-    t = memoryview(_table)
-    lt0 = (
-        (t[M] - t[ell] - t[M - ell])
-        + (t[F - M] - t[n - ell] - t[F - M - n + ell])
-        - (t[F] - t[n] - t[F - n])
-    )
     # stream the remaining terms through successive ratios
     cur = 0.0   # log(term_j / term_ell)
     mx = 0.0    # running max of cur
@@ -149,21 +131,27 @@ def surprise(F: int, M: int, n: int, ell: int) -> float:
 
 
 def first_term_bound(F: int, M: int | np.ndarray, n: int, ell: int | np.ndarray) -> float | np.ndarray:
-    """-ln of the first term of surprise()'s sum, for ints M and ell or elementwise over int arrays.
+    """-ln of the first term of surprise()'s sum, for scalars M and ell or elementwise over int arrays.
 
     The tail sum is at least its first term, the pmf at ell, so each entry
-    bounds surprise(F, M, n, ell) from above.  The floats are the kernel's
-    own: the same nine table reads combined in the same order, so entry i
-    is bit for bit -lt0 of surprise(F, M[i], n, ell[i]), and the kernel
-    adds the non-negative mx and ln(acc) to lt0 before negating.  Two ints
-    give one float, read through a memoryview as the kernel reads it, and
-    it is the entry an array holding them would give.  Every (M, ell) must
-    be feasible, as surprise() requires; nothing here checks that, so a
-    caller that cannot vouch for its arguments runs check_feasible() first.
+    bounds surprise(F, M, n, ell) from above.  It is the kernel's own first
+    term: surprise() adds the non-negative mx and ln(acc) to -bound before
+    negating.  The nine table reads are ln_choose's, in ln_choose's order.
+
+    A scalar M (anything but an ndarray, numpy integers included) is the
+    kernel's path: an infeasible argument raises check_feasible()'s
+    ValueError, and the table is read through a memoryview, whose items are
+    _table.item()'s floats read without a method call.  The result is the
+    entry an array holding the same values would give.  Arrays are not
+    checked: their caller, the certificate, clamps ell into the feasible
+    range.
     """
+    scalar = not isinstance(M, np.ndarray)
+    if scalar and not (0 <= ell <= M <= F and ell <= n <= F and n - ell <= F - M):
+        check_feasible(F, M, n, ell)
     if F >= _table.size:
         _grow(F, 0)
-    t = memoryview(_table) if isinstance(M, int) else _table
+    t = memoryview(_table) if scalar else _table
     lt0 = (
         (t[M] - t[ell] - t[M - ell])
         + (t[F - M] - t[n - ell] - t[F - M - n + ell])

@@ -25,8 +25,9 @@ class TestPielouer:
         assert abs(pielou(sizes) - 0.75) <= 0.01
 
     def test_floor_respected(self):
-        sizes = pielouer(15, 0.7, size_floor=3, rng=2)
-        assert min(sizes) >= 3
+        # the floor of 2 binds at this evenness, and no size goes below it
+        assert min(pielouer(15, 0.7, rng=2)) == 2
+        assert min(pielouer_nodes(10, 0.5, (40, 40), rng=0)) == 2
 
     @pytest.mark.parametrize("N,target", [(1, 0.5), (5, 0.0), (5, 1.5)])
     def test_domain(self, N, target):
@@ -41,12 +42,12 @@ class TestPielouerNodes:
         assert abs(pielou(sizes) - 0.85) <= 0.01
 
     def test_target_one_equal_split(self):
-        sizes = pielouer_nodes(10, 1.0, (40, 40), size_floor=4, rng=0)
+        sizes = pielouer_nodes(10, 1.0, (40, 40), rng=0)
         assert sizes == [4] * 10
 
     def test_infeasible(self):
         with pytest.raises(ValueError):
-            pielouer_nodes(10, 0.9, (5, 8), size_floor=2)
+            pielouer_nodes(10, 0.9, (5, 8))
 
     def test_sum_and_target(self):
         sizes = pielouer_nodes(40, 0.95, (990, 990), rng=3)

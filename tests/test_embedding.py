@@ -402,6 +402,14 @@ class TestPeakWalk:
         with pytest.raises(ValueError):
             peak_walk(np.array([1.0, 2.0]), D, 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN used to give NaN heights on every step, and an inf a
+        # RuntimeWarning and a NaN height
+        D = np.zeros((3, 3))
+        with pytest.raises(ValueError, match="finite"):
+            peak_walk(np.array([1.0, bad, 0.0]), D, 3)
+
 
 class TestMatrixIO:
     def test_round_trip(self, tmp_path):

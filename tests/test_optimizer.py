@@ -1210,8 +1210,8 @@ class TestFirstTermScreen:
     def test_every_infeasible_move_still_raises(self, toy, truth, name, args, M_new, ell_new, message):
         # the state is corrupted so that the move lands at (M_new, ell_new),
         # on the screen's branch (ell < M and ell < n) with the memo empty;
-        # S = inf would have the bound reject it unless the guard runs
-        # check_feasible() first.  The toy graph has F = 55 and n = 16
+        # S = inf would have the bound reject it unless first_term_bound()
+        # checks feasibility first.  The toy graph has F = 55 and n = 16
         state = SurpriseState(toy, truth)
         assert (toy.F, toy.n) == (55, 16)
         nodes, src, dst = (state.partition.comms[1], 1, 0) if name == "merge" else ((0,), 0, None)

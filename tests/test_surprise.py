@@ -318,14 +318,21 @@ class TestKernelBits:
     @pytest.mark.parametrize(
         "F,M,n,ell",
         [(10, 11, 5, 0), (10, -1, 5, 0), (10, 5, 11, 0), (10, 5, -1, 0), (10, 5, 5, 6),
-         (10, 8, 5, 1), (5, 3, 2, -1), (10, 3, 5, 4)],
+         (10, 8, 5, 1), (5, 3, 2, -1), (10, 3, 5, 4),
+         # first_term_bound used to wrap the negative index and return
+         # 364.02..., and to raise IndexError past the table
+         (100, 10, 5, -1), (100, 120, 5, 2),
+         (100, np.int64(10), 5, -1), (np.int64(100), np.int64(120), np.int64(5), np.int64(2))],
     )
     def test_same_errors(self, F, M, n, ell):
-        with pytest.raises(ValueError) as got:
-            surprise(F, M, n, ell)
+        # the kernel and its first term refuse every infeasible scalar
+        # argument, numpy integers included, with check_feasible()'s message
         with pytest.raises(ValueError) as want:
             reference_surprise(F, M, n, ell)
-        assert str(got.value) == str(want.value)
+        for f in (surprise, first_term_bound):
+            with pytest.raises(ValueError) as got:
+                f(F, M, n, ell)
+            assert str(got.value) == str(want.value)
 
     def test_log_list_sized_by_n_not_F(self, monkeypatch):
         monkeypatch.setattr(surprise_module, "_logs", [-math.inf])
@@ -381,13 +388,14 @@ class TestKernelBits:
     )
     def test_first_term_bound_of_ints(self, args):
         # two ints give one float: the entry an array of them gives and the
-        # kernel's own -lt0, bit for bit
+        # kernel's own -lt0, bit for bit; numpy integers give the same float
         F, M, n, ell = args
         got = first_term_bound(F, M, n, ell)
         entry = first_term_bound(F, np.array([M]), n, np.array([ell]))[0]
         lt0 = ln_choose(M, ell) + ln_choose(F - M, n - ell) - ln_choose(F, n)
         assert type(got) is float
         assert got.hex() == float(entry).hex() == (-lt0).hex()
+        assert first_term_bound(*map(np.int64, args)).hex() == got.hex()
 
     @settings(max_examples=200, deadline=None)
     @given(tail_inputs())
