@@ -25,7 +25,7 @@ from surpkit.embedding import (
     peak_walk,
 )
 from surpkit.exhaustive import best_partitions
-from surpkit.graph import load_edge_list, save_edge_list
+from surpkit.graph import MAX_NODES, load_edge_list, save_edge_list
 from surpkit.metrics import fragmentation, modularity, pielou, vi
 from surpkit.optimizer import SurpriseState
 from surpkit.partition import Partition, load_partition, save_partition
@@ -130,6 +130,9 @@ def cmd_bench_our(args) -> int:
         raise ValueError(f"--ncliques must be at least 2, got {args.ncliques}")
     if not 0.0 < args.pielou <= 1.0:
         raise ValueError(f"--pielou must be in (0, 1], got {args.pielou}")
+    if args.nodes > MAX_NODES:
+        # detect and bench rc could not read the file back
+        raise ValueError(f"--nodes {args.nodes} is above {MAX_NODES}, the most a graph file may hold")
     # build_benchmark makes int(t / (1 - r)) nodes from t clique nodes, a
     # count that rises by at least one per clique node: at most one t gives
     # --nodes, ceil(N (1 - r)) in exact arithmetic, so round() or one more

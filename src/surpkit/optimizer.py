@@ -42,10 +42,10 @@ the table over every edge.
 
 Every greedy move, block moves included, is decided at one site,
 _greedy().  It takes the move's price (dM, dell) from its caller, applies
-the move when it raises S by more than TIE_EPS, and otherwise records the
-caller's key in _rejected: the pair for a merge, the price for any other
-move.  A rejected key stays rejected until a move is applied (argument in
-_greedy()), so stepper() leaves out a call whose key is in _rejected.
+the move when it raises S by more than TIE_EPS and counts it in
+_accepted, and otherwise records the move's key in _rejected.  A rejected
+key stays rejected until a move is applied (the key rule, in _greedy()),
+so stepper() leaves out a call whose key is in _rejected.
 It reads the key of an exchange or extraction straight from the link
 table, _delta()'s one-node branch written out, and reads each node's
 neighbours from lists it sorts once per call (arguments in stepper()).
@@ -63,15 +63,15 @@ first_term_bound(), bounds S from above.  The kernel computes its first
 term and checks feasibility by calling it (see surpkit.surprise), so the
 screen raises the kernel's error on a corrupt state.  On a memo miss
 whose term loop would run (ell < min(M, n)), _greedy() takes bound =
-max(first_term_bound(F, M, n, ell), 0.0) and rejects the move unpriced
-when not (bound - S > TIE_EPS), the acceptance test's own expression.
-This is exact, bit for bit.  The kernel returns -((lt0 + mx) + ln acc),
-clamped at 0.0, with mx >= 0 and acc >= 1, and its lt0 is
+max(first_term_bound(F, M, n, ell), 0.0) as S_new, and calls the kernel
+only when bound - S > TIE_EPS; otherwise the acceptance test rejects the
+move unpriced.  This is exact, bit for bit.  The kernel returns -((lt0 +
+mx) + ln acc), clamped at 0.0, with mx >= 0 and acc >= 1, and its lt0 is
 -first_term_bound().  Round-to-nearest addition and subtraction are
 monotone, so the kernel's S_new <= bound and fl(S_new - S) <= fl(bound -
 S) <= TIE_EPS: no margin is needed, at any size of S.  Where ell =
 min(M, n) the loop is empty and the kernel returns exactly bound, so
-that move is priced as before.  A screened move memoizes nothing and
+that move goes to the kernel unscreened.  A screened move memoizes nothing and
 draws nothing from the rng, so decisions, S bits and the rng stream are
 those of exact pricing.  _plan(), shake() and the annealer price every
 move exactly.
@@ -175,9 +175,10 @@ class SurpriseState:
         self._S_memo: dict[tuple[int, int], float] = {}
         # sub-block plans by community id, valid until the next applied move
         self._plans: dict[int, list[_SubBlock]] = {}
-        # what _greedy() rejected since the last applied move: merges by
-        # ("merge", cA, cB), every other move by its price (dM, dell)
+        # what _greedy() rejected since the last applied move, keyed as its
+        # docstring says, and how many moves of each kind it applied
         self._rejected: set[tuple] = set()
+        self._accepted = dict.fromkeys(MOVE_KINDS, 0)
         # links of each node into each community, keyed by the community's
         # private label _lab[cid]; zero counts are dropped.  _slot is the
         # inverse of _lab, and _next_lab the label the next new community
@@ -368,50 +369,50 @@ class SurpriseState:
         self._plans.clear()
         self._rejected.clear()
 
-    def _greedy(
-        self, kind: str, nodes: Collection[int], src: int, dst: int | None, dM: int, dell: int, key: tuple
-    ) -> MoveOutcome:
+    def _greedy(self, kind: str, nodes: Collection[int], src: int, dst: int | None, dM: int, dell: int) -> MoveOutcome:
         """Apply the move priced (dM, dell) by _delta(nodes, src, dst) when it raises S by more than TIE_EPS.
 
         The one greedy decision: every merge, exchange, extraction and
-        block move is decided here, and nothing else adds to _rejected.
-        On rejection ``key`` goes into _rejected: the pair ("merge", cA,
-        cB) for a merge, the price (dM, dell) for any other move.
+        block move is decided here, each applied move is counted in
+        _accepted by kind, and nothing else adds to _rejected.
 
         A move whose (M, ell) misses the memo and whose tail has more than
-        one term is first screened by the first-term bound, and rejected
-        unpriced when the bound itself does not clear TIE_EPS (argument in
-        the module docstring).  Its deltaS is then bound - S: at least the
-        kernel's deltaS and at most TIE_EPS.  Nothing is memoized for it.
+        one term is first screened by the first-term bound: the bound
+        stands in for S_new unless it clears TIE_EPS, and only then does
+        the kernel price the move (argument in the module docstring).  A
+        move rejected on its bound reports bound - S as its deltaS: at
+        least the kernel's deltaS and at most TIE_EPS.  Nothing is memoized
+        for it.
 
-        A rejected key stays rejected until a move is applied.  The
-        decision reads only (M + dM, ell + dell) and S (the memo, the
-        screen and the kernel read nothing else), and until a move is
-        applied none of M, ell and S changes, so a move at a rejected price
-        would be rejected again, whatever nodes, source or target it names.
-        A merge of cA and cB has dM = sA*sB and dell = the edges between
-        the pair, both symmetric in the pair and fixed until a move is
-        applied, so its pair stands for its price and saves the sum that
-        prices it.  Applying any move clears the record (_commit()), which
-        also covers the renumbering of community ids.  So a call whose key
-        is in _rejected can be left out: it would apply nothing and draw
-        nothing from the rng.
+        The key rule.  A rejected move's key goes into _rejected: the pair
+        ("merge", min(cA, cB), max(cA, cB)) for a merge, the price (dM,
+        dell) for any other move.  A rejected key stays rejected until a
+        move is applied.  The decision reads only (M + dM, ell + dell) and
+        S (the memo, the screen and the kernel read nothing else), and
+        until a move is applied none of M, ell and S changes, so a move at
+        a rejected price would be rejected again, whatever nodes, source
+        or target it names.  A merge of cA and cB has dM = sA*sB and dell =
+        the edges between the pair, both symmetric in the pair and fixed
+        until a move is applied, so its pair stands for its price and saves
+        the sum that prices it.  Applying any move clears the record
+        (_commit()), which also covers the renumbering of community ids.
+        So a call whose key is in _rejected can be left out: it would apply
+        nothing and draw nothing from the rng.
         """
         M, ell = self.M + dM, self.ell + dell
         S_new = self._S_memo.get((M, ell))
         if S_new is None:
             F, n = self.graph.F, self.graph.n
             if ell < M and ell < n:
-                bound = max(first_term_bound(F, M, n, ell), 0.0)
-                if not (bound - self.S > TIE_EPS):
-                    self._rejected.add(key)
-                    return MoveOutcome(False, bound - self.S, kind)
-            S_new = self._S_at(M, ell)
+                S_new = max(first_term_bound(F, M, n, ell), 0.0)
+            if S_new is None or S_new - self.S > TIE_EPS:
+                S_new = self._S_at(M, ell)
         dS = S_new - self.S
         if dS > TIE_EPS:
             self._move(nodes, src, dst, dM, dell, S_new)
+            self._accepted[kind] += 1
             return MoveOutcome(True, dS, kind)
-        self._rejected.add(key)
+        self._rejected.add(("merge", min(src, dst), max(src, dst)) if kind == "merge" else (dM, dell))
         return MoveOutcome(False, dS, kind)
 
     # ----- the five moves -------------------------------------------------
@@ -422,9 +423,8 @@ class SurpriseState:
         self._check_comm(cB)
         if cA == cB:
             raise ValueError("cannot merge a community with itself")
-        nodes = self.partition.comms[cB]
         dM, dell = self._merge_price(cA, cB)
-        return self._greedy("merge", nodes, cB, cA, dM, dell, ("merge", cA, cB) if cA < cB else ("merge", cB, cA))
+        return self._greedy("merge", self.partition.comms[cB], cB, cA, dM, dell)
 
     def exchange(self, node: int, cTo: int) -> MoveOutcome:
         """Move one node into cTo when that raises the surprise."""
@@ -435,9 +435,8 @@ class SurpriseState:
             raise ValueError("cannot exchange out of a singleton community")
         if cTo == src:
             return MoveOutcome(False, 0.0, "exchange")
-        price = self._delta((node,), src, cTo)
-        dM, dell = price
-        return self._greedy("exchange", (node,), src, cTo, dM, dell, price)
+        dM, dell = self._delta((node,), src, cTo)
+        return self._greedy("exchange", (node,), src, cTo, dM, dell)
 
     def extract(self, node: int) -> MoveOutcome:
         """Split one node into a new singleton community when that raises the surprise."""
@@ -445,9 +444,8 @@ class SurpriseState:
         src = self.partition.assign[node]
         if len(self.partition.comms[src]) <= 1:
             raise ValueError("cannot extract from a singleton community")
-        price = self._delta((node,), src, None)
-        dM, dell = price
-        return self._greedy("extract", (node,), src, None, dM, dell, price)
+        dM, dell = self._delta((node,), src, None)
+        return self._greedy("extract", (node,), src, None, dM, dell)
 
     def subcommunities(self, cid: int) -> list[set[int]]:
         """Sub-communities of one community, via greedy recursion on its subgraph.
@@ -667,7 +665,7 @@ class SurpriseState:
         """Apply the first block of cid's plan whose move into dst raises S by more than TIE_EPS.
 
         ``dst`` None means a new community.  Every block that is priced is
-        decided by _greedy(), with its price (dM, dell) as its key.  A block
+        decided by _greedy(), which keys a rejection by its price.  A block
         B with no link into dst is skipped, unpriced, when extracting it
         does not raise S by more than TIE_EPS; it could not have been
         applied.  No block links to None, so extraction skips every block
@@ -699,7 +697,7 @@ class SurpriseState:
             if dst in blk.links or dS > TIE_EPS:
                 dM = blk.dM + t * len(blk.nodes)
                 dell = blk.dell + blk.links.get(dst, 0)
-                out = self._greedy(kind, blk.nodes, cid, dst, dM, dell, (dM, dell))
+                out = self._greedy(kind, blk.nodes, cid, dst, dM, dell)
                 if out.accepted:
                     return out
                 dS = out.deltaS
@@ -766,16 +764,16 @@ class SurpriseState:
         exchange(node, cj) moves only the member being visited, which then
         ends its turn, and exchange(nb, ci) brings nb in without emptying cj.
 
-        stepper() only reads _rejected; _greedy() fills it.  A merge is not
-        called when its pair is in _rejected, nor an exchange or an
-        extraction when its price is.  _greedy() would reject such a call
-        again (argument in _greedy()), so these checks are kept only to
-        save the public call, its argument checks and its MoveOutcome: a
-        prototype without them, which also passed the price by a *-splat
-        call, ran 15-23 % slower per instance.  A left-out call would apply
-        nothing, evaluate no kernel and draw nothing from the rng, so
-        decisions, kernel evaluations and the rng stream are those of the
-        loop that makes every call.
+        stepper() only reads _rejected and _accepted; _greedy() fills both.
+        A merge is not called when its pair is in _rejected, nor an
+        exchange or an extraction when its price is.  _greedy() would
+        reject such a call again (the key rule, in _greedy()), so these
+        checks are kept only to save the public call, its argument checks
+        and its MoveOutcome: a prototype without them, which also passed
+        the price by a *-splat call, ran 15-23 % slower per instance.  A
+        left-out call would apply nothing, evaluate no kernel and draw
+        nothing from the rng, so decisions, kernel evaluations and the rng
+        stream are those of the loop that makes every call.
 
         The price of a node move is read inline from the link table, with
         no _delta() call: it is _delta()'s one-node branch written out.
@@ -807,16 +805,20 @@ class SurpriseState:
         in the list is still one _sub_targets would list or one whose call
         applies nothing.
 
-        Returns acceptance counts per move kind.
+        Returns the moves _greedy() applied during this call, per kind: the
+        growth of _accepted over the call.  The passes read _accepted to
+        tell whether a pass, an extraction sweep or a sub-exchange sweep
+        applied anything.
         """
-        counts = {kind: 0 for kind in MOVE_KINDS}
+        accepted = self._accepted
+        start = dict(accepted)
         p = self.partition
         comms, assign = p.comms, p.assign
         lab, node_links, rejected = self._lab, self._node_links, self._rejected
         neighbors = [sorted(nbs) for nbs in self.graph.adj]
         sub_moves = False  # phase 1: merge, exchange and extract only
         while True:
-            applied = sum(counts.values())
+            applied = sum(accepted.values())
             ci = 0
             while ci < p.Nc:
                 # merge / exchange driven by the members' neighborhoods
@@ -828,57 +830,52 @@ class SurpriseState:
                             continue
                         key = ("merge", ci, cj) if ci < cj else ("merge", cj, ci)
                         if key not in rejected and self.merge(ci, cj).accepted:
-                            counts["merge"] += 1
                             ci = assign[node]
                             continue
                         c, t = len(comms[ci]), len(comms[cj])
                         li, lj = lab[ci], lab[cj]
                         if c > 1 and (t + 1 - c, row.get(lj, 0) - row.get(li, 0)) not in rejected:
                             if self.exchange(node, cj).accepted:
-                                counts["exchange"] += 1
                                 break  # node left ci; go to the next member
                         if t > 1:
                             nb_row = node_links[nb]
                             if (c + 1 - t, nb_row.get(li, 0) - nb_row.get(lj, 0)) not in rejected:
-                                if self.exchange(nb, ci).accepted:
-                                    counts["exchange"] += 1
+                                self.exchange(nb, ci)
                 # extract to exhaustion: sweep ci while a sweep extracts a node
                 while len(comms[ci]) > 1:
-                    extracted = counts["extract"]
+                    extracted = accepted["extract"]
                     for node in sorted(comms[ci]):
                         c = len(comms[ci])
                         if c > 1 and (1 - c, -node_links[node].get(lab[ci], 0)) not in rejected:
-                            if self.extract(node).accepted:
-                                counts["extract"] += 1
-                    if counts["extract"] == extracted:
+                            self.extract(node)
+                    if accepted["extract"] == extracted:
                         break
                 if not sub_moves:
                     ci += 1
                     continue
                 # sub-community extraction to exhaustion
                 while len(comms[ci]) > 1 and self.sub_extract(ci).accepted:
-                    counts["sub_extract"] += 1
+                    pass
                 # sub-community exchanges to exhaustion, over the candidate
                 # targets only
                 while len(comms[ci]) > 1:
-                    exchanged = counts["sub_exchange"]
+                    exchanged = accepted["sub_exchange"]
                     targets = self._sub_targets(ci)
                     k = 0
                     while k < len(targets):
                         cj = targets[k]
                         k += 1
                         if self.sub_exchange(ci, cj).accepted:
-                            counts["sub_exchange"] += 1
                             if len(comms[ci]) < 2:
                                 break
                             targets = self._sub_targets(ci)
                             k = bisect_right(targets, cj)
-                    if counts["sub_exchange"] == exchanged:
+                    if accepted["sub_exchange"] == exchanged:
                         break
                 ci += 1
-            if sum(counts.values()) == applied:
+            if sum(accepted.values()) == applied:
                 if sub_moves:
-                    return counts
+                    return {kind: accepted[kind] - start[kind] for kind in MOVE_KINDS}
                 sub_moves = True  # phase 2: all five moves
 
     def anneal_step(self, T: float) -> int:

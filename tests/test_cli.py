@@ -228,6 +228,12 @@ class TestBench:
             (["--pielou", "0"], "--pielou must be in (0, 1], got 0.0"),
             (["--pielou", "nan"], "--pielou must be in (0, 1], got nan"),
             (["--nodes", "11", "--r", "0.5"], "no number of clique nodes gives --nodes 11 at --r 0.5"),
+            # used to write a graph file of more nodes than any reader takes;
+            # cliques of two nodes keep the file small where it is still made
+            (
+                ["--ncliques", "500000", "--pielou", "1.0", "--nodes", str(MAX_NODES + 1)],
+                f"--nodes {MAX_NODES + 1} is above {MAX_NODES}, the most a graph file may hold",
+            ),
         ],
     )
     def test_size_setting_refused(self, capsys, tmp_path, flags, message):
@@ -756,6 +762,48 @@ def test_bench_our_outputs_must_differ(capsys, tmp_path, monkeypatch, spelling):
     )
     assert code == 1 and err == f"error: --out-truth {truth}: the same file as --out-edges\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture()
+def written(tmp_path):
+    """The files the CLI writes, each by the subcommand that makes it."""
+    paths = {name: tmp_path / f"{name}.txt" for name in ("edges", "truth", "found", "rewired")}
+    for argv in (
+        ["bench", "our", "--ncliques", 4, "--pielou", 0.85, "--nodes", 60, "--r", 0.05, "--p", 0.3,
+         "--q", 0.05, "--seed", 1, "--out-edges", paths["edges"], "--out-truth", paths["truth"]],
+        ["detect", "--graph", paths["edges"], "--seed", 1, "--out", paths["found"]],
+        ["bench", "rc", "--graph", paths["edges"], "--R", 20, "--seed", 1, "--out", paths["rewired"]],
+    ):
+        assert main([str(a) for a in argv]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--graph", "{edges}"],
+        ["bench", "rc", "--graph", "{edges}", "--R", "10", "--out", "{edges}.rc"],
+        ["eval", "vi", "--a", "{truth}", "--b", "{truth}"],
+        ["eval", "pielou", "--partition", "{truth}"],
+        ["eval", "frag", "--initial", "{truth}", "--found", "{found}"],
+        ["eval", "surprise", "--graph", "{edges}", "--partition", "{found}"],
+        ["eval", "vi", "--a", "{found}", "--b", "{found}"],
+        ["eval", "modularity", "--graph", "{edges}", "--partition", "{found}"],
+        ["detect", "--graph", "{rewired}"],
+    ],
+    ids=[
+        "our-edges-detect", "our-edges-rc", "our-truth-vi", "our-truth-pielou", "our-truth-frag",
+        "found-surprise", "found-vi", "found-modularity", "rewired-detect",
+    ],
+)
+def test_written_files_read_back(capsys, written, argv):
+    # bench our's edges and truth, detect --out's partition and bench rc's
+    # edges, each fed to a subcommand that reads it
+    capsys.readouterr()
+    code, out = run(capsys, *(a.format(**written) for a in argv))
+    assert code == 0
+    if argv[:2] == ["eval", "vi"]:
+        assert float(out) == 0.0
 
 
 class TestValueFiles:

@@ -662,6 +662,33 @@ class TestStepper:
         assert state.S <= best + 1e-9
         assert state.verify()
 
+    @pytest.mark.parametrize("seed", [26, 29, 197])
+    def test_counts_are_the_moves_this_call_applied(self, seed, monkeypatch):
+        # _greedy() counts every applied move in _accepted; stepper() returns
+        # what _accepted grew by, so a merge applied before it is left out.
+        # After that merge, each case applies all five kinds
+        state = SurpriseState(*sparse_random_case(seed), rng=seed)
+        next(pair for pair in combinations(range(state.partition.Nc), 2) if state.merge(*pair).accepted)
+        before = dict(state._accepted)
+        applied = Counter()
+
+        def counting(name, method):
+            def counted(self, *args):
+                out = method(self, *args)
+                if self is state:  # not the recursion's sub-states
+                    applied[name] += out.accepted
+                return out
+
+            return counted
+
+        for name in MOVE_KINDS:
+            monkeypatch.setattr(SurpriseState, name, counting(name, getattr(SurpriseState, name)))
+        counts = state.stepper()
+        assert before == {**dict.fromkeys(MOVE_KINDS, 0), "merge": 1}
+        assert counts == {kind: applied[kind] for kind in MOVE_KINDS}
+        assert all(counts.values())
+        assert state._accepted == {kind: before[kind] + counts[kind] for kind in MOVE_KINDS}
+
     def test_greedy_monotone(self, toy):
         state = SurpriseState(toy, rng=0)
         last = state.S

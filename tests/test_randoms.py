@@ -130,6 +130,20 @@ class TestSamplers:
         _, p_value = chisquare(observed, expected)
         assert p_value > 0.001
 
+    def test_truncated_at_the_table(self):
+        # a draw past the 10^6-entry table used to come back as exactly 10^6:
+        # 14 of these 20,000, where the law puts 3.8e-10 on 10^6
+        sampler = DiscretePowerLaw(1.5, rng=0)
+        draws = sampler.sample_many(20_000)
+        assert draws.max() < 10 ** 6
+        assert sampler.rejected == sampler.proposals - 20_000 > 0
+
+    @pytest.mark.parametrize("kmax", [0, 10 ** 6 + 1, 2 * 10 ** 6])
+    def test_kmax_outside_the_table_refused(self, kmax):
+        # a kmax above the table used to be accepted and never reached
+        with pytest.raises(ValueError, match=rf"^kmax must be in \[1, 1000000\], got {kmax}$"):
+            DiscretePowerLaw(2.5, kmax=kmax)
+
     def test_continuous_median(self):
         gamma = 2.5
         draws = sample_powerlaw_continuous(gamma, rng=3, count=100_000)
@@ -194,6 +208,22 @@ class TestMLE:
         with pytest.raises(ValueError, match="all samples equal the support start; exponent undefined"):
             gamma_mle_discrete([x0, x0], x0)
         assert gamma_mle_discrete([x0, x0, x0 + 1], x0) < 20.0  # one sample above x0 suffices
+
+    @pytest.mark.parametrize(
+        "mle, samples, value",
+        [
+            (gamma_mle_continuous, [1, 2, math.inf], "inf"),
+            (gamma_mle_continuous, [1, 2, math.nan], "nan"),
+            (gamma_mle_continuous, [-math.inf, 1, 2], "-inf"),
+            (gamma_mle_discrete, [1.0, 2.0, math.inf], "inf"),
+            (gamma_mle_discrete, [1.0, 2.0, math.nan], "nan"),
+        ],
+    )
+    def test_non_finite_sample_refused(self, mle, samples, value):
+        # inf used to give 1.0 (continuous) or the bracket edge 1.01
+        # (discrete), and nan a nan
+        with pytest.raises(ValueError, match=f"^sample {value} is not finite$"):
+            mle(samples)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
