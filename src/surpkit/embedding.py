@@ -9,7 +9,7 @@ accumulating the distance covered.
 Everything in a stress evaluation that depends only on D (the cut-off
 mask, the weights w and m2w = -2 (w + w^T)) is built once per ``embed()``
 by ``_weights``.  The stress kernel is two parts: ``_chi2`` returns
-chi^2 with the arrays (dx, dy, e, resid) it was computed from, and
+chi^2 with the arrays (diff, e, resid) it was computed from, and
 ``_gradient`` turns those arrays and m2w into the gradient and its norm.
 Three places run the two parts back to back: ``chi_grad``, the first
 evaluation in ``embed()``, and every step ``embed()`` keeps.  Most
@@ -17,18 +17,31 @@ descent steps are rejected, and a rejected step needs only chi^2, so
 ``embed()`` prices every trial with ``_chi2`` alone.  This walks exactly
 the descent that running both parts on every trial would: the parts run
 the same operations on the same arrays, a rejected trial's gradient
-would never be read, and no array is kept across steps.  The two parts
-back to back return the same bits as the direct evaluation, which
-builds the (N, N, 2) array of differences r_i - r_j, takes
-coef = -2.0 * (w + w^T) * resid / e and sums coef_ij (r_i - r_j) over
-the middle axis (the tests keep it as the reference, on C-ordered
-coordinates as ``embed`` uses):
+would never be read, and no array is kept across steps.
 
-* hoisting m2w keeps the bits: ``-2.0 * w_full * resid / e`` evaluates
-  left to right, so its first product is exactly m2w;
-* the kernel keeps ``dx[j, i] = x_i - x_j`` and sums ``coef.T * dx``
-  over axis 0 of a C-contiguous array, which adds the terms over j one
-  by one in index order, as the reduction over the middle axis does;
+The kernel works on the coordinates as a C-ordered (2, N) array, the x
+row then the y row, as ``embed()`` keeps them, and returns the gradient
+in that layout.  One subtraction gives the (2, N, N) array diff[k, j, i]
+= r_i,k - r_j,k of both axes' differences, one product their squares,
+and the gradient is one reduction over the middle axis of coef^T * diff;
+coef is m2w * resid / e computed only where e > 0 and 0.0 elsewhere, by
+``np.divide`` with ``where``.  The two parts back to back return the
+same bits as the direct evaluation, which builds the (N, N, 2) array of
+differences r_i - r_j, takes coef = -2.0 * (w + w^T) * resid / e and
+sums coef_ij (r_i - r_j) over the middle axis (the tests keep it as the
+reference):
+
+* every element is the same operation on the same operands: the
+  differences, squares and the sum dx^2 + dy^2 under the square root are
+  taken elementwise, and hoisting m2w keeps the bits, because ``-2.0 *
+  w_full * resid / e`` evaluates left to right, so its first product is
+  exactly m2w;
+* every reduction adds in the same order: the gradient's reduction over
+  the middle axis of a C-contiguous array adds the terms over j one by
+  one in index order for each i, as the reference's does, and chi^2 and
+  the gradient norm are summed over C-ordered (N, N) and (N, 2) arrays,
+  so the norm squares the gradient into the (N, 2) order x_0, y_0, x_1,
+  ... before summing;
 * no symmetry of D is assumed.  D need only be symmetric within
   ``np.allclose``, so coef is not bitwise symmetric, and the gradient
   is summed from ``coef.T``, never from ``coef``.
@@ -111,27 +124,31 @@ def _weights(D: np.ndarray, config: EmbeddingConfig) -> tuple[np.ndarray, np.nda
 
 def _chi2(
     coords: np.ndarray, D: np.ndarray, w: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """chi^2 and the arrays ``_gradient`` reuses: (chi2, dx, dy, e, resid)."""
-    x, y = coords[:, 0], coords[:, 1]
-    dx = x[None, :] - x[:, None]  # dx[j, i] = x_i - x_j
-    dy = y[None, :] - y[:, None]
-    e = np.sqrt(dx * dx + dy * dy).T
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """chi^2 and the arrays ``_gradient`` reuses: (chi2, diff, e, resid).
+
+    ``coords`` is C-ordered (2, N): the x row, then the y row.
+    """
+    diff = coords[:, None, :] - coords[:, :, None]  # diff[k, j, i] = r_i,k - r_j,k
+    sq = diff * diff
+    e = np.sqrt(sq[0] + sq[1]).T
     resid = D - e
-    return float((w * resid ** 2).sum()), dx, dy, e, resid
+    return float(np.add.reduce(w * resid ** 2, axis=None)), diff, e, resid
 
 
 def _gradient(
-    dx: np.ndarray, dy: np.ndarray, e: np.ndarray, resid: np.ndarray, m2w: np.ndarray
+    diff: np.ndarray, e: np.ndarray, resid: np.ndarray, m2w: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """The gradient of chi^2 and its norm, from the arrays ``_chi2`` returned."""
+    """The gradient of chi^2 and its norm, from the arrays ``_chi2`` returned.
+
+    The gradient is C-ordered (2, N), as the coordinates.
+    """
     # d chi2 / d r_i = sum_j 2 w_ij (d_ij - e_ij) * (-(r_i - r_j)/e_ij)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(e > 0.0, m2w * resid / e, 0.0)
-    grad = np.empty((dx.shape[0], 2))
-    grad[:, 0] = (coef.T * dx).sum(axis=0)
-    grad[:, 1] = (coef.T * dy).sum(axis=0)
-    return grad, float(np.sqrt((grad ** 2).sum()))
+    coef = np.divide(m2w * resid, e, out=np.zeros_like(e), where=e > 0.0)
+    grad = np.add.reduce(coef.T * diff, axis=1)
+    # squared into the (N, 2) order x_0, y_0, x_1, ... before the sum, the
+    # direct evaluation's reduction order (module docstring)
+    return grad, float(np.sqrt(np.add.reduce(np.square(grad.T, order="C"), axis=None)))
 
 
 def chi_grad(
@@ -151,8 +168,9 @@ def chi_grad(
     if coords.shape != (N, 2):
         raise ValueError(f"coordinates must be shaped ({N}, 2)")
     w, m2w = _weights(D, config)
-    chi2, dx, dy, e, resid = _chi2(coords, D, w)
-    return (chi2, *_gradient(dx, dy, e, resid, m2w))
+    chi2, diff, e, resid = _chi2(np.ascontiguousarray(coords.T), D, w)
+    grad, gnorm = _gradient(diff, e, resid, m2w)
+    return chi2, np.ascontiguousarray(grad.T), gnorm
 
 
 def embed(
@@ -173,35 +191,41 @@ def embed(
     D = _validate_D(D)
     N = D.shape[0]
     rng = np.random.default_rng(rng)
-    coords = rng.random((N, 2))
+    # the descent runs on the C-ordered (2, N) transpose (see _chi2)
+    coords = np.ascontiguousarray(rng.random((N, 2)).T)
     lamb = _LAMB
     w, m2w = _weights(D, config)
-    chi2, dx, dy, e, resid = _chi2(coords, D, w)
-    grad, gnorm = _gradient(dx, dy, e, resid, m2w)
+    chi2, diff, e, resid = _chi2(coords, D, w)
+    grad, gnorm = _gradient(diff, e, resid, m2w)
     stalled = steps = 0
     while True:
         if gnorm / (2 * N) < _EPS:
-            return coords, chi2, gnorm, "converged"
+            reason = "converged"
+            break
         if lamb < _LAMB_FLOOR:
-            return coords, chi2, gnorm, "step underflow"
+            reason = "step underflow"
+            break
         if stalled >= _STALL_LIMIT:
-            return coords, chi2, gnorm, "stalled"
+            reason = "stalled"
+            break
         if steps >= _STEP_LIMIT:
-            return coords, chi2, gnorm, "step limit"
+            reason = "step limit"
+            break
         steps += 1
         trial = coords - lamb * grad
         # a step too small to change any coordinate leaves chi2 as it is,
         # which is not below itself: reject it without pricing it
         if trial.tobytes() != coords.tobytes():
-            t_chi2, dx, dy, e, resid = _chi2(trial, D, w)
+            t_chi2, diff, e, resid = _chi2(trial, D, w)
             if t_chi2 < chi2:
                 coords, chi2 = trial, t_chi2
-                grad, gnorm = _gradient(dx, dy, e, resid, m2w)
+                grad, gnorm = _gradient(diff, e, resid, m2w)
                 lamb *= 1.0 + _ADJ
                 stalled = 0
                 continue
         lamb *= 1.0 - _ADJ
         stalled += 1
+    return np.ascontiguousarray(coords.T), chi2, gnorm, reason
 
 
 def peak_walk(

@@ -73,8 +73,11 @@ S) <= TIE_EPS: no margin is needed, at any size of S.  Where ell =
 min(M, n) the loop is empty and the kernel returns exactly bound, so
 that move goes to the kernel unscreened.  A screened move memoizes nothing and
 draws nothing from the rng, so decisions, S bits and the rng stream are
-those of exact pricing.  _plan(), shake() and the annealer price every
-move exactly.
+those of exact pricing.  The annealer screens its proposals with the same
+bound: a proposal whose dB = bound - S is at most 0 is rejected unpriced
+when the uniform draw u the Metropolis rule would make is at least
+exp(dB/T), with a margin for the rounding of exp (argument in
+_anneal_propose()).  _plan() and shake() price every move exactly.
 
 A community whose induced subgraph is complete or edgeless has its
 singletons as sub-communities, found without recursing.  Such a subgraph
@@ -111,7 +114,29 @@ from surpkit.surprise import first_term_bound, ln_factorial, partition_stats, su
 # strict-improvement threshold; exact ties are handled by shake()
 TIE_EPS = 1e-12
 
+# the Metropolis screen's factor on exp(dB/T): libm's exp is within one ulp
+# but not promised monotone, and 2^-40 is 2^12 ulps (argument in
+# SurpriseState._anneal_propose())
+_EXP_SLACK = 1.0 + 2.0 ** -40
+
 MOVE_KINDS = ("merge", "exchange", "extract", "sub_extract", "sub_exchange")
+
+
+def _distinct_pair(rng: np.random.Generator, Nc: int) -> tuple[int, int]:
+    """Two distinct ints below Nc >= 2, as tuple(rng.choice(Nc, 2, replace=False)) draws them.
+
+    numpy's choice without replacement runs Floyd's algorithm, a draw in
+    [0, Nc - 1) and one in [0, Nc) that becomes Nc - 1 when it repeats
+    the first, then shuffles the pair with one draw in [0, 2), swapping on
+    0.  These are its draws without its array set-up, so the pair and the
+    generator state after it are choice's; the tests compare the two.
+    """
+    a, b = int(rng.integers(Nc - 1)), int(rng.integers(Nc))
+    if b == a:
+        b = Nc - 1
+    if rng.integers(2) == 0:
+        return b, a
+    return a, b
 
 
 class MoveOutcome(NamedTuple):
@@ -893,20 +918,49 @@ class SurpriseState:
                 accepted += 1
         return accepted
 
-    def _metropolis(self, dS: float, T: float) -> bool:
+    def _metropolis(self, dS: float, T: float, u: float | None = None) -> bool:
+        """The Metropolis rule: dS > 0 applies, else u < exp(dS/T), with u drawn here unless given."""
         if dS > 0.0:
             return True
-        return self.rng.random() < math.exp(dS / T)
+        if u is None:
+            u = self.rng.random()
+        return u < math.exp(dS / T)
 
     def _anneal_propose(self, T: float) -> bool:
-        """Draw one random legal move and apply it by the Metropolis rule."""
+        """Draw one random legal move and apply it by the Metropolis rule.
+
+        A merge draws its pair with _distinct_pair().
+
+        The Metropolis screen.  On a memo miss whose tail has more than
+        one term (ell < min(M, n)), the first-term bound B = max(
+        first_term_bound(F, M, n, ell), 0.0) prices the move from above,
+        and dB = B - S bounds the exact dS = S_new - S from above, bit for
+        bit (argument in the module docstring).  When dB <= 0, dS <= 0 as
+        well, so the rule would draw u: draw it first.  When u > 0 and u >=
+        exp(dB/T) * _EXP_SLACK, the move is rejected without calling the
+        kernel, as the rule would reject it; otherwise it is priced exactly
+        and applied iff u < exp(dS/T), with that u.  A screened move
+        memoizes nothing, and each proposal draws what the rule draws, so
+        moves, S bits and the rng stream are those of exact pricing.
+
+        Why u >= exp(dB/T) * _EXP_SLACK implies u >= exp(dS/T).  Division
+        by T > 0 rounds monotonically, so y = dS/T <= x = dB/T <= 0.  libm's
+        exp is within one ulp of e^t but is not promised to be monotone,
+        so compare through e^t.  If e^y is below 2^-1022 (exp underflows,
+        T = 1e-300 say, y = -inf included), exp(y) is at most 2^-1022, and
+        u, a positive multiple of 2^-53, exceeds it.  Otherwise e^y and e^x
+        are normal, and exp(y) <= e^y (1 + 2^-52) <= e^x (1 + 2^-52) <=
+        exp(x) (1 + 2^-52) / (1 - 2^-52), which the product exp(x) *
+        _EXP_SLACK, rounded, still exceeds.  u = 0 is left to the exact
+        rule: 0 < exp(y) may hold where exp(x) is 0.
+        """
         p = self.partition
         rng = self.rng
         kind = MOVE_KINDS[rng.integers(len(MOVE_KINDS))]
         if kind == "merge":
             if p.Nc < 2:
                 return False
-            cA, cB = (int(c) for c in rng.choice(p.Nc, size=2, replace=False))
+            cA, cB = _distinct_pair(rng, p.Nc)
             nodes, src, dst = p.comms[cB], cB, cA
         else:
             if kind in ("exchange", "extract"):
@@ -930,8 +984,17 @@ class SurpriseState:
                 if dst >= src:
                     dst += 1
         dM, dell = self._delta(nodes, src, dst)
-        S_new = self._S_at(self.M + dM, self.ell + dell)
-        if self._metropolis(S_new - self.S, T):
+        M, ell = self.M + dM, self.ell + dell
+        u = None
+        n = self.graph.n
+        if ell < M and ell < n and (M, ell) not in self._S_memo:
+            dB = max(first_term_bound(self.graph.F, M, n, ell), 0.0) - self.S
+            if dB <= 0.0:
+                u = rng.random()
+                if u > 0.0 and u >= math.exp(dB / T) * _EXP_SLACK:
+                    return False
+        S_new = self._S_at(M, ell)
+        if self._metropolis(S_new - self.S, T, u):
             self._move(nodes, src, dst, dM, dell, S_new)
             return True
         return False

@@ -146,13 +146,25 @@ def sample_powerlaw_continuous(
     return x0 * (1.0 - u) ** (-1.0 / (gamma - 1.0))
 
 
-def _check_samples(samples: np.ndarray) -> None:
-    """Refuse fewer than two samples, or a sample that is NaN or infinite."""
-    if samples.size < 2:
-        raise ValueError("need at least 2 samples")
+def _check_support(samples: np.ndarray, x0: float, discrete: bool = False) -> None:
+    """Refuse a sample that is NaN or infinite, below the support start x0,
+    or, when ``discrete``, not an integer."""
     bad = samples[~np.isfinite(samples)]
     if bad.size:
         raise ValueError(f"sample {float(bad[0])!r} is not finite")
+    if samples.size and samples.min() < x0:
+        raise ValueError(f"samples below the support start {x0}")
+    if discrete:
+        bad = samples[samples != np.floor(samples)]
+        if bad.size:
+            raise ValueError(f"sample {float(bad[0])!r} is not an integer")
+
+
+def _check_samples(samples: np.ndarray, x0: float, discrete: bool = False) -> None:
+    """Refuse fewer than two samples, then what _check_support() refuses."""
+    if samples.size < 2:
+        raise ValueError("need at least 2 samples")
+    _check_support(samples, x0, discrete)
 
 
 def gamma_mle_discrete(samples: Sequence[int], x0: int = 1) -> float:
@@ -161,16 +173,14 @@ def gamma_mle_discrete(samples: Sequence[int], x0: int = 1) -> float:
     Solves dzeta/zeta (gamma, x0) = -mean(ln k) by bracketed root finding
     on gamma in [1.01, 20], to 1e-8, and clamps to the bracket edge when the
     root lies outside it.  Samples that all equal x0 are refused, as is a
-    NaN or infinite sample.
+    NaN, infinite or non-integer sample.
     """
     # imported here, at its one use: at module level scipy.optimize would
     # load with every CLI command and about double its peak memory
     from scipy.optimize import brentq
 
     samples = np.asarray(samples)
-    _check_samples(samples)
-    if samples.min() < x0:
-        raise ValueError(f"samples below the support start {x0}")
+    _check_samples(samples, x0, discrete=True)
     if samples.max() == x0:
         # the likelihood then rises monotonically in gamma: no finite maximum
         raise ValueError("all samples equal the support start; exponent undefined")
@@ -195,9 +205,7 @@ def gamma_mle_continuous(samples: Sequence[float], x0: float = 1.0) -> float:
     A NaN or infinite sample is refused.
     """
     samples = np.asarray(samples, dtype=float)
-    _check_samples(samples)
-    if samples.min() < x0:
-        raise ValueError(f"samples below the support start {x0}")
+    _check_samples(samples, x0)
     denom = float(np.log(samples / x0).sum())
     if denom == 0.0:
         raise ValueError("all samples equal the support start; exponent undefined")
@@ -205,14 +213,24 @@ def gamma_mle_continuous(samples: Sequence[float], x0: float = 1.0) -> float:
 
 
 def lnL_discrete(gamma: float, samples: Sequence[int], x0: int = 1) -> float:
-    """Log-likelihood of integer samples under p(k) = k^(-gamma) / zeta(gamma, x0)."""
+    """Log-likelihood of integer samples under p(k) = k^(-gamma) / zeta(gamma, x0).
+
+    A sample that gamma_mle_discrete() would refuse for its value (NaN,
+    infinite, below x0 or not an integer) is refused with its message.
+    """
     samples = np.asarray(samples)
+    _check_support(samples, x0, discrete=True)
     return float(-gamma * np.log(samples).sum() - samples.size * math.log(zeta(gamma, x0)))
 
 
 def lnL_continuous(gamma: float, samples: Sequence[float], x0: float = 1.0) -> float:
-    """Log-likelihood under the density (gamma-1)/x0 (x/x0)^(-gamma)."""
+    """Log-likelihood under the density (gamma-1)/x0 (x/x0)^(-gamma).
+
+    A sample that gamma_mle_continuous() would refuse for its value (NaN,
+    infinite or below x0) is refused with its message.
+    """
     samples = np.asarray(samples, dtype=float)
+    _check_support(samples, x0)
     N = samples.size
     return float(
         N * math.log(gamma - 1.0) - N * math.log(x0) - gamma * np.log(samples / x0).sum()

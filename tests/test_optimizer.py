@@ -18,7 +18,7 @@ from surpkit.benchmarks import build_benchmark, pielouer_nodes
 from surpkit.cli import sub_rng
 from surpkit.exhaustive import best_partitions
 from surpkit.graph import Graph
-from surpkit.optimizer import MOVE_KINDS, TIE_EPS, MoveOutcome, SurpriseState, sample_partitions
+from surpkit.optimizer import MOVE_KINDS, TIE_EPS, MoveOutcome, SurpriseState, _distinct_pair, sample_partitions
 from surpkit.partition import Partition
 from surpkit.surprise import first_term_bound, ln_factorial, partition_stats, surprise
 
@@ -244,6 +244,90 @@ def reference_anneal_step(graph, p, rng, T):
         accepted += 1
         reference_relocate(p, nodes, src, dst)
     return accepted
+
+
+def unscreened_propose(state, T):
+    """_anneal_propose() without the Metropolis screen: every proposal
+    priced by the kernel, and the merge pair drawn by rng.choice."""
+    p, rng = state.partition, state.rng
+    kind = MOVE_KINDS[rng.integers(len(MOVE_KINDS))]
+    if kind == "merge":
+        if p.Nc < 2:
+            return False
+        cA, cB = (int(c) for c in rng.choice(p.Nc, size=2, replace=False))
+        nodes, src, dst = p.comms[cB], cB, cA
+    else:
+        if kind in ("exchange", "extract"):
+            node = int(rng.integers(state.graph.K))
+            src = p.assign[node]
+            if len(p.comms[src]) <= 1:
+                return False
+            nodes = (node,)
+        else:
+            src = int(rng.integers(p.Nc))
+            if len(p.comms[src]) < 2:
+                return False
+            subs = state.subcommunities(src)
+            nodes = subs[rng.integers(len(subs))]
+        dst = None
+        if kind in ("exchange", "sub_exchange"):
+            if p.Nc < 2:
+                return False
+            dst = int(rng.integers(p.Nc - 1))
+            if dst >= src:
+                dst += 1
+    dM, dell = state._delta(nodes, src, dst)
+    S_new = state._S_at(state.M + dM, state.ell + dell)
+    dS = S_new - state.S
+    if dS > 0.0 or rng.random() < math.exp(dS / T):
+        state._move(nodes, src, dst, dM, dell, S_new)
+        return True
+    return False
+
+
+# from exp's underflow (1e-300) to a walk that applies nearly every move (1e300)
+SCREEN_TEMPERATURES = (1e-300, 1e-6, 0.05, 0.5, 2.0, 1e6, 1e300)
+
+
+def assert_screen_matches_exact_pricing(g, p, seed, temperatures):
+    """After every proposal: the same applied move, partition, S bits and rng
+    state as unscreened_propose().  Returns the kernel calls of each side."""
+    screened, exact = SurpriseState(g, p, rng=seed), SurpriseState(g, p, rng=seed)
+    calls = Counter()
+    kernel = optimizer_module.surprise
+
+    def counted(*args):
+        calls[side] += 1
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer_module, "surprise", counted)
+        for T in temperatures:
+            for _ in range(g.K):
+                side = "screened"
+                applied = screened._anneal_propose(T)
+                side = "exact"
+                assert applied == unscreened_propose(exact, T)
+                assert screened.partition.assign == exact.partition.assign
+                assert screened.S.hex() == exact.S.hex()
+                assert screened.rng.bit_generator.state == exact.rng.bit_generator.state
+    assert screened.verify()
+    return calls["screened"], calls["exact"]
+
+
+class ScriptedRng:
+    """Gives the listed integers() draws in turn, and u from every random()."""
+
+    def __init__(self, ints, u):
+        self.ints, self.u = list(ints), u
+
+    def integers(self, high):
+        value = self.ints.pop(0)
+        assert 0 <= value < high
+        return value
+
+    def random(self):
+        return self.u
 
 
 def assert_anneal_matches_reference(g, p, seed, temperatures):
@@ -1604,6 +1688,60 @@ class TestAnneal:
             state.anneal_step(T)
         assert (state.partition.assign, state.rng.bit_generator.state) == before
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graphs_with_partitions(max_k=12, max_nc=5),
+        st.integers(0, 2 ** 32 - 1),
+        st.lists(st.sampled_from(SCREEN_TEMPERATURES), min_size=1, max_size=4),
+    )
+    def test_screen_matches_exact_pricing(self, gp, seed, temperatures):
+        assert_screen_matches_exact_pricing(*gp, seed, temperatures)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_screen_matches_exact_pricing_on_degraded_benchmark(self, seed):
+        # from the greedy optimum nearly every proposal lowers S, so most
+        # of them meet the screen, and at low T most are rejected by it
+        g = degraded_k63(seed)
+        state = SurpriseState(g, rng=seed)
+        state.stepper()
+        screened, exact = assert_screen_matches_exact_pricing(g, state.partition, seed, SCREEN_TEMPERATURES)
+        assert screened < exact
+
+    def test_screen_margin_covers_a_non_monotone_exp(self, monkeypatch, toy):
+        # libm's exp is within an ulp of e^t, but may give exp(y) > exp(x)
+        # for y < x.  Here it does, and u lies between the two: the rule
+        # applies the move, and only the margin keeps the screen from
+        # rejecting it
+        p = Partition([0, 0, 0, 0, 1, 1, 1, 1, 3, 2, 2])
+        screened, exact = SurpriseState(toy, p), SurpriseState(toy, p)
+        dM, dell = screened._delta((0,), 0, 1)  # node 0 into community 1
+        M, ell = screened.M + dM, screened.ell + dell
+        dB = max(first_term_bound(toy.F, M, toy.n, ell), 0.0) - screened.S
+        dS = surprise(toy.F, M, toy.n, ell) - screened.S
+        assert dS < dB <= 0.0
+        T = (dB - dS) * 2.0 ** 60
+        x, y = dB / T, dS / T
+        libm_exp = math.exp
+
+        def exp(t):  # one ulp up below x, one ulp down from x on
+            return math.nextafter(libm_exp(t), math.inf if t < x else -math.inf)
+
+        u = exp(x)
+        assert y < x and exp(y) > u
+        monkeypatch.setattr(math, "exp", exp)
+        # exchange (kind 1) node 0 into community 1 (draw 0, which skips src 0)
+        screened.rng, exact.rng = ScriptedRng([1, 0, 0], u), ScriptedRng([1, 0, 0], u)
+        assert screened._anneal_propose(T) is True
+        assert unscreened_propose(exact, T) is True
+        assert screened.partition.assign == exact.partition.assign
+
+    @pytest.mark.parametrize("seed", range(0, 1000, 10))
+    def test_distinct_pair_draws_as_choice(self, seed):
+        drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for Nc in range(2, 301):
+            assert _distinct_pair(drawn, Nc) == tuple(int(c) for c in chosen.choice(Nc, 2, replace=False))
+            assert drawn.bit_generator.state == chosen.bit_generator.state
+
     def test_metropolis_rate_at_minus_T(self, toy):
         state = SurpriseState(toy, rng=123)
         trials = 20_000
@@ -1766,6 +1904,20 @@ class TestDeterminism:
         parts = sample_partitions(toy, 10, rng=3, max_sweeps=200)
         keys = {p.canonical() for p in parts}
         assert len(keys) == len(parts) >= 2
+
+    @pytest.mark.parametrize(
+        "graph, digest",
+        [
+            (lambda: degraded_k63(0), "5a81a8fd8f107a823e711c8e88d08b6e0fe2b86c65f899860956aa2cb1a2486a"),
+            (lambda: sparse_random_case(6)[0], "13f34bd39370820f73dec589a1dfe8e7cbeff88155a2d503536004713423ffce"),
+        ],
+        ids=["degraded_k63", "sparse_random_24"],
+    )
+    def test_sample_partitions_pinned(self, graph, digest):
+        # every sampled partition in order, pinned from exact pricing and
+        # rng.choice's merge pairs: the screen and the pair draw move none
+        keys = [p.canonical() for p in sample_partitions(graph(), 30, rng=0)]
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "count, max_sweeps, message",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -224,6 +225,39 @@ class TestMLE:
         # (discrete), and nan a nan
         with pytest.raises(ValueError, match=f"^sample {value} is not finite$"):
             mle(samples)
+
+    @pytest.mark.parametrize("samples, value", [([1.5, 2.5, 3.5], "1.5"), ([1, 2, 2.25], "2.25")])
+    def test_discrete_non_integer_refused(self, samples, value):
+        # [1.5, 2.5, 3.5] used to give 1.759, as if drawn from the discrete law
+        with pytest.raises(ValueError, match=f"^sample {value} is not an integer$"):
+            gamma_mle_discrete(samples)
+        with pytest.raises(ValueError, match=f"^sample {value} is not an integer$"):
+            lnL_discrete(2.5, samples)
+
+    @pytest.mark.parametrize(
+        "lnL, samples, x0, message",
+        [
+            # the density is 0 below x0: this used to give 0.811
+            (lnL_continuous, [0.5, 2], 1.0, "samples below the support start 1.0"),
+            (lnL_continuous, [3.0, 4.0], 3.5, "samples below the support start 3.5"),
+            (lnL_discrete, [0, 3, 5], 1, "samples below the support start 1"),
+            (lnL_discrete, [3, 4, 5], 4, "samples below the support start 4"),
+            # these used to give -inf or nan
+            (lnL_continuous, [1, 2, math.nan], 1.0, "sample nan is not finite"),
+            (lnL_continuous, [1, 2, math.inf], 1.0, "sample inf is not finite"),
+            (lnL_continuous, [-math.inf, 1, 2], 1.0, "sample -inf is not finite"),
+            (lnL_discrete, [1, 2, math.inf], 1, "sample inf is not finite"),
+            (lnL_discrete, [1, 2, math.nan], 1, "sample nan is not finite"),
+        ],
+    )
+    def test_likelihood_refuses_what_the_mle_refuses(self, lnL, samples, x0, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lnL(2.5, samples, x0)
+
+    def test_likelihood_of_one_sample_at_x0(self):
+        # a single sample is enough for a likelihood, and x0 itself is in the support
+        assert lnL_continuous(2.5, [1.0]) == pytest.approx(math.log(1.5))
+        assert lnL_discrete(2.5, [1]) == pytest.approx(-math.log(zeta(2.5, 1)))
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
