@@ -221,10 +221,12 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _load_values(path, discrete: bool = False) -> np.ndarray:
-    """The numbers in a text file: at least one, one row or one column, all
-    finite, and integers when ``discrete``.  Every refusal is one line that
-    names the path."""
+def _load_values(path) -> np.ndarray:
+    """The numbers in a text file, which must hold at least one, in one row
+    or one column; each refusal is one line that names the path.  Only the
+    file is judged here: the fit or the walk that uses the numbers refuses
+    a value it cannot take (not finite, not an integer for ``mle
+    --discrete``), and the caller names the path."""
     with _naming(path):
         with warnings.catch_warnings():
             # loadtxt warns on a file with no numbers; the size check says so
@@ -235,14 +237,6 @@ def _load_values(path, discrete: bool = False) -> np.ndarray:
         if values.ndim > 1:
             rows, cols = values.shape
             raise ValueError(f"{rows} rows of {cols} numbers; one row or one column required")
-        if discrete:
-            bad = values[~np.isfinite(values) | (values != np.floor(values))]
-            if bad.size:
-                raise ValueError(f"discrete sample {float(bad[0])!r} is not an integer")
-        else:
-            bad = values[~np.isfinite(values)]
-            if bad.size:
-                raise ValueError(f"value {float(bad[0])!r} is not finite")
     return values
 
 
@@ -251,10 +245,9 @@ def cmd_mle(args) -> int:
     if not 0 < args.x0 < np.inf or (args.discrete and args.x0 != int(args.x0)):
         kind = "integer" if args.discrete else "number"
         raise ValueError(f"--x0 must be a positive {kind}, got {args.x0}")
-    samples = _load_values(args.samples, args.discrete)
+    samples = _load_values(args.samples)
     with _naming(args.samples):
         if args.discrete:
-            samples = samples.astype(int)
             gamma = gamma_mle_discrete(samples, int(args.x0))
             ll = lnL_discrete(gamma, samples, int(args.x0))
         else:

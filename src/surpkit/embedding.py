@@ -233,7 +233,8 @@ def peak_walk(
 ) -> list[tuple[float, float]]:
     """Cumulative distance walked through the ``top`` best entries.
 
-    Values must be finite, and are normalized to [0, 1]; entries are
+    Values must be finite (the first that is not is named in the
+    refusal), and are normalized to [0, 1]; entries are
     visited in descending value order (ties by index) and the distance
     between consecutive entries accumulates.  Returns (cumulative
     distance, height) pairs.
@@ -243,8 +244,9 @@ def peak_walk(
     N = D.shape[0]
     if values.shape != (N,):
         raise ValueError("one value per distance-matrix row required")
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"value {float(bad[0])!r} is not finite")
     if not (1 <= top <= N):
         raise ValueError(f"top must be in [1, {N}]")
     lo, hi = float(values.min()), float(values.max())

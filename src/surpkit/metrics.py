@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -124,19 +124,10 @@ class FragmentationReport:
     nc_ratio_pct: float
 
     def as_csv(self) -> str:
-        header = "kept,comms,dispersed,fragments,joined,obliterated,nc_ratio"
-        row = ",".join(
-            f"{v:.2f}"
-            for v in (
-                self.kept_pct,
-                self.comms_pct,
-                self.dispersed_pct,
-                self.fragments_pct,
-                self.joined_pct,
-                self.obliterated_pct,
-                self.nc_ratio_pct,
-            )
-        )
+        """A header of the field names without ``_pct``, then the row, each
+        value to two decimals."""
+        header = ",".join(f.name.removesuffix("_pct") for f in fields(self))
+        row = ",".join(f"{v:.2f}" for v in astuple(self))
         return f"{header}\n{row}"
 
 

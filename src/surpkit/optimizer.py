@@ -222,8 +222,7 @@ class SurpriseState:
             self._lab = list(range(graph.K))
             self._node_links = [dict.fromkeys(nbs, 1) for nbs in graph.adj]
         else:
-            if partition.K != graph.K:
-                raise ValueError("partition size does not match graph")
+            # partition_stats refuses a partition of another node count
             self.partition = partition.copy()
             self.M, self.ell, self.S = partition_stats(graph, self.partition)
             self._lab = list(range(self.partition.Nc))

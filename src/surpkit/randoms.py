@@ -17,17 +17,24 @@ import numpy as np
 _CUT = 10_000  # terms summed directly before the tail correction
 
 
-def zeta(gamma: float, x0: int = 1) -> float:
-    """Hurwitz-style zeta sum: sum_{k=x0}^inf k^(-gamma).
-
-    Partial sum plus Euler-Maclaurin tail; about 1e-10 absolute accuracy.
-    """
+def _terms(gamma: float, x0: int) -> tuple[np.ndarray, int]:
+    """The domain checks of :func:`zeta` and :func:`dzeta_dgamma`, then
+    their grid: the terms k = x0 .. N - 1 summed directly, and N, where the
+    tail correction starts."""
     if gamma <= 1.0:
         raise ValueError("the series diverges for gamma <= 1")
     if x0 < 1:
         raise ValueError("support must start at a positive integer")
     N = x0 + _CUT
-    k = np.arange(x0, N, dtype=float)
+    return np.arange(x0, N, dtype=float), N
+
+
+def zeta(gamma: float, x0: int = 1) -> float:
+    """Hurwitz-style zeta sum: sum_{k=x0}^inf k^(-gamma).
+
+    Partial sum plus Euler-Maclaurin tail; about 1e-10 absolute accuracy.
+    """
+    k, N = _terms(gamma, x0)
     partial = float((k ** -gamma).sum())
     tail = (
         N ** (1.0 - gamma) / (gamma - 1.0)
@@ -40,12 +47,7 @@ def zeta(gamma: float, x0: int = 1) -> float:
 
 def dzeta_dgamma(gamma: float, x0: int = 1) -> float:
     """Derivative of :func:`zeta` with respect to gamma: -sum k^(-gamma) ln k."""
-    if gamma <= 1.0:
-        raise ValueError("the series diverges for gamma <= 1")
-    if x0 < 1:
-        raise ValueError("support must start at a positive integer")
-    N = x0 + _CUT
-    k = np.arange(x0, N, dtype=float)
+    k, N = _terms(gamma, x0)
     partial = float((k ** -gamma * np.log(k)).sum())
     g = gamma
     lnN = math.log(N)
@@ -147,8 +149,14 @@ def sample_powerlaw_continuous(
 
 
 def _check_support(samples: np.ndarray, x0: float, discrete: bool = False) -> None:
-    """Refuse a sample that is NaN or infinite, below the support start x0,
-    or, when ``discrete``, not an integer."""
+    """Refuse a support start x0 that is not positive and finite or, when
+    ``discrete``, not a positive integer; then a sample that is NaN or
+    infinite, below x0 or, when ``discrete``, not an integer."""
+    # the MLE needs x0 > 0 (ln(x / x0)), and the discrete law lives on x0,
+    # x0 + 1, ...; NaN fails the first comparison, so int() sees no NaN
+    if not 0 < x0 < math.inf or (discrete and x0 != int(x0)):
+        kind = "integer" if discrete else "finite number"
+        raise ValueError(f"support start must be a positive {kind}, got {x0}")
     bad = samples[~np.isfinite(samples)]
     if bad.size:
         raise ValueError(f"sample {float(bad[0])!r} is not finite")
@@ -173,7 +181,8 @@ def gamma_mle_discrete(samples: Sequence[int], x0: int = 1) -> float:
     Solves dzeta/zeta (gamma, x0) = -mean(ln k) by bracketed root finding
     on gamma in [1.01, 20], to 1e-8, and clamps to the bracket edge when the
     root lies outside it.  Samples that all equal x0 are refused, as is a
-    NaN, infinite or non-integer sample.
+    NaN, infinite or non-integer sample, and an x0 that is not a positive
+    integer.
     """
     # imported here, at its one use: at module level scipy.optimize would
     # load with every CLI command and about double its peak memory
@@ -202,7 +211,8 @@ def gamma_mle_discrete(samples: Sequence[int], x0: int = 1) -> float:
 def gamma_mle_continuous(samples: Sequence[float], x0: float = 1.0) -> float:
     """Closed-form maximum-likelihood exponent: 1 + N / sum ln(x_i / x0).
 
-    A NaN or infinite sample is refused.
+    A NaN or infinite sample is refused, and an x0 that is not positive
+    and finite.
     """
     samples = np.asarray(samples, dtype=float)
     _check_samples(samples, x0)
@@ -215,8 +225,9 @@ def gamma_mle_continuous(samples: Sequence[float], x0: float = 1.0) -> float:
 def lnL_discrete(gamma: float, samples: Sequence[int], x0: int = 1) -> float:
     """Log-likelihood of integer samples under p(k) = k^(-gamma) / zeta(gamma, x0).
 
-    A sample that gamma_mle_discrete() would refuse for its value (NaN,
-    infinite, below x0 or not an integer) is refused with its message.
+    An x0, or a sample, that gamma_mle_discrete() would refuse for its
+    value (NaN, infinite, below x0 or not an integer) is refused with its
+    message.
     """
     samples = np.asarray(samples)
     _check_support(samples, x0, discrete=True)
@@ -226,8 +237,8 @@ def lnL_discrete(gamma: float, samples: Sequence[int], x0: int = 1) -> float:
 def lnL_continuous(gamma: float, samples: Sequence[float], x0: float = 1.0) -> float:
     """Log-likelihood under the density (gamma-1)/x0 (x/x0)^(-gamma).
 
-    A sample that gamma_mle_continuous() would refuse for its value (NaN,
-    infinite or below x0) is refused with its message.
+    An x0, or a sample, that gamma_mle_continuous() would refuse for its
+    value (NaN, infinite or below x0) is refused with its message.
     """
     samples = np.asarray(samples, dtype=float)
     _check_support(samples, x0)

@@ -513,13 +513,15 @@ class TestMLE:
 
     @pytest.mark.parametrize("bad", ["2.7", "nan", "inf"])
     def test_non_integral_discrete_sample_fails(self, capsys, tmp_path, bad):
-        # truncating 2.7 to 2 used to give gamma=1.76389840 without a word
+        # truncating 2.7 to 2 used to give gamma=1.76389840 without a word.
+        # The fit judges the samples, a non-finite one before a fraction
         path = tmp_path / "samples.txt"
         path.write_text(f"1 {bad} 3 5 2.5\n")
         code = main(["mle", "--samples", str(path), "--discrete"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err == f"error: {path}: discrete sample {bad} is not an integer\n"
+        reason = "is not an integer" if bad == "2.7" else "is not finite"
+        assert err == f"error: {path}: sample {bad} {reason}\n"
 
     def test_non_numeric_sample_fails(self, capsys, tmp_path):
         path = tmp_path / "samples.txt"
@@ -806,46 +808,75 @@ def test_written_files_read_back(capsys, written, argv):
         assert float(out) == 0.0
 
 
-class TestValueFiles:
-    """mle --samples and landscape walk --values refuse a file with no
-    numbers, or a non-finite one, in one line that names the file."""
+# the arguments that read a value file or a distance matrix: {path} is the
+# broken file, {values} and {dist} good inputs, and {out} the output file
+_FILE_ARGS = {
+    "mle": ["mle", "--samples", "{path}"],
+    "mle-discrete": ["mle", "--samples", "{path}", "--discrete"],
+    "walk": ["landscape", "walk", "--values", "{path}", "--dist", "{dist}", "--top", "2", "--out", "{out}"],
+    "walk-dist": ["landscape", "walk", "--values", "{values}", "--dist", "{path}", "--top", "2", "--out", "{out}"],
+    "embed-dist": ["landscape", "embed", "--dist", "{path}", "--out", "{out}"],
+}
+# each corruption by id: what is at the path (None: nothing, "/": a
+# directory, bytes: a file that is not UTF-8 text) and what the refusal says
+_VALUE_CORRUPTIONS = {
+    "missing": (None, "not found"),
+    "directory": ("/", "Is a directory"),
+    "not-utf8": (b"\xff1\n2\n", NOT_UTF8),
+    "empty": ("", "no numbers"),
+    "whitespace": (" \n\t\n", "no numbers"),
+    "non-numeric": ("1\nx\n3\n", "could not convert string 'x'"),
+    "nan": ("1\nnan\n3\n", "nan is not finite"),
+    "inf": ("1\ninf\n3\n", "inf is not finite"),
+    "1e400": ("1\n1e400\n3\n", "inf is not finite"),
+    # loadtxt reads this as a 2 x 2 array, which used to pass as 4 samples
+    "two-columns": ("1 2\n3 4\n", "2 rows of 2 numbers; one row or one column required"),
+}
+_MATRIX_CORRUPTIONS = {
+    "missing": (None, "No such file or directory"),
+    "directory": ("/", "Is a directory"),
+    "not-utf8": (b"\xff1\n2\n", NOT_UTF8),
+    "non-numeric": ("2\n0 x\nx 0\n", "matrix entry 'x' is not a number"),
+    "1e400": ("2\n0 1e400\n1e400 0\n", "distances must be finite"),
+    "truncated": ("3\n0 1 2\n1 0 1\n2 1\n", "expected 9 entries after the size, got 8"),
+    "nan": ("2\n0 nan\nnan 0\n", "distances must be finite"),
+}
+_BROKEN_FILES = [
+    pytest.param(command, content, message, id=f"{command}-{name}")
+    for command in _FILE_ARGS
+    for name, (content, message) in (
+        _MATRIX_CORRUPTIONS if command.endswith("-dist") else _VALUE_CORRUPTIONS
+    ).items()
+] + [pytest.param("mle-discrete", "1\n2.5\n3\n", "sample 2.5 is not an integer", id="mle-discrete-non-integer")]
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("", "no numbers"),
-            (" \n\t\n", "no numbers"),
-            ("1\nnan\n3\n", "nan"),
-            ("1\ninf\n3\n", "inf"),
-            # loadtxt reads this as a 2 x 2 array, which used to pass as 4 samples
-            ("1 2\n3 4\n", "2 rows of 2 numbers; one row or one column required"),
-        ],
-        ids=["empty", "whitespace", "nan", "inf", "two-columns"],
-    )
-    @pytest.mark.parametrize("command", ["mle", "walk"])
-    def test_refused_in_one_line(self, capsys, recwarn, tmp_path, command, text, message):
+
+class TestValueFiles:
+    """mle --samples, landscape walk --values, and the --dist of landscape
+    walk and embed refuse a broken file in one line that names it, with no
+    warning and no output file."""
+
+    @pytest.mark.parametrize("command, content, message", _BROKEN_FILES)
+    def test_refused_in_one_line(self, capsys, recwarn, tmp_path, command, content, message):
         from surpkit.embedding import save_distance_matrix
 
-        path = tmp_path / "numbers.txt"
-        path.write_text(text)
-        walk_out = tmp_path / "walk.csv"
-        if command == "mle":
-            argv = ["mle", "--samples", str(path)]
-        else:
-            dist = tmp_path / "dist.txt"
-            save_distance_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]), dist)
-            argv = [
-                "landscape", "walk", "--values", str(path), "--dist", str(dist),
-                "--top", "2", "--out", str(walk_out),
-            ]
-        code = main(argv)
-        out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-        assert message in err
+        path, out = tmp_path / "broken.txt", tmp_path / "out.txt"
+        dist, values = tmp_path / "dist.txt", tmp_path / "values.txt"
+        save_distance_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]), dist)
+        values.write_text("0\n1\n2\n")
+        if content == "/":
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        argv = (a.format(path=path, dist=dist, values=values, out=out) for a in _FILE_ARGS[command])
+        code, err = refusal(capsys, *argv)
+        # an OSError names the path in its own words; any other refusal leads with it
+        lead = "error: " if content in (None, "/") else f"error: {path}: "
+        assert code == 1 and err.startswith(lead) and err.count("\n") == 1
+        assert str(path) in err and message in err
         assert not recwarn.list
-        assert not walk_out.exists()
-
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["2 3 4\n", "2\n3\n4\n"], ids=["row", "column"])
     def test_one_row_or_one_column_accepted(self, capsys, tmp_path, text):

@@ -1623,6 +1623,12 @@ class TestLinkTables:
         # every node has a row of its own: moves from this start keep it exact
         apply_every_move(g, None)
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_partition_of_another_node_count_refused(self, toy, delta):
+        K = toy.K + delta
+        with pytest.raises(ValueError, match=f"^partition over {K} nodes does not match graph with {toy.K}$"):
+            SurpriseState(toy, Partition.singletons(K))
+
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_partitions())
     def test_merge_links_read_from_either_side(self, gp):

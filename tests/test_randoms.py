@@ -254,6 +254,24 @@ class TestMLE:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lnL(2.5, samples, x0)
 
+    @pytest.mark.parametrize(
+        "fit, x0",
+        [(fit, x0) for fit in (gamma_mle_continuous, gamma_mle_discrete, lnL_continuous, lnL_discrete)
+         for x0 in (0.0, -1.0, math.nan, math.inf)]
+        + [(gamma_mle_discrete, 1.5), (lnL_discrete, 1.5)],
+    )
+    def test_bad_support_start_refused(self, recwarn, fit, x0):
+        # the MLE needs x0 > 0, and the discrete law integer support from x0.
+        # x0 = 0 used to give 1.0 with a divide-by-zero warning (continuous
+        # MLE) or "math domain error" (continuous lnL), -1 and nan gave nan,
+        # and 1.5 fitted 1.9041 to a law on 1.5, 2.5, ..., which holds none
+        # of these samples
+        kind = "integer" if fit in (gamma_mle_discrete, lnL_discrete) else "finite number"
+        args = ([2, 3, 4, 5], x0) if fit.__name__.startswith("gamma") else (2.5, [2, 3, 4, 5], x0)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'support start must be a positive {kind}, got {x0}')}$"):
+            fit(*args)
+        assert not recwarn.list
+
     def test_likelihood_of_one_sample_at_x0(self):
         # a single sample is enough for a likelihood, and x0 itself is in the support
         assert lnL_continuous(2.5, [1.0]) == pytest.approx(math.log(1.5))
