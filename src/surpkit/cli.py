@@ -227,11 +227,13 @@ def _load_values(path) -> np.ndarray:
     file is judged here: the fit or the walk that uses the numbers refuses
     a value it cannot take (not finite, not an integer for ``mle
     --discrete``), and the caller names the path."""
-    with _naming(path):
+    # opened here: loadtxt's own open reports a missing file with no
+    # filename, so main() could not lead with the path
+    with _naming(path), open(path, encoding="utf-8") as fh:
         with warnings.catch_warnings():
             # loadtxt warns on a file with no numbers; the size check says so
             warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(path, ndmin=1)
+            values = np.loadtxt(fh, ndmin=1)
         if values.size == 0:
             raise ValueError("no numbers in the file")
         if values.ndim > 1:
@@ -382,7 +384,11 @@ def main(argv: list[str] | None = None) -> int:
         _check_outputs(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # lead with the path, as every other refusal does
+            message = f"{exc.filename}: {exc.strerror}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -77,14 +77,18 @@ those of exact pricing.  The annealer screens its proposals with the same
 bound: a proposal whose dB = bound - S is at most 0 is rejected unpriced
 when the uniform draw u the Metropolis rule would make is at least
 exp(dB/T), with a margin for the rounding of exp (argument in
-_anneal_propose()).  _plan() and shake() price every move exactly.
+_anneal_propose()).  The block moves price their extractions exactly, and
+shake() every move.
 
-A community whose induced subgraph is complete or edgeless has its
-singletons as sub-communities, found without recursing.  Such a subgraph
-has n = F or n = 0 links, where every partition has surprise exactly 0.0,
-so the recursive greedy loop from singletons would accept nothing; it
-draws nothing from the rng either, so skipping it leaves the rng stream
-unchanged (argument in _closed_form()).
+A community whose induced subgraph is complete or edgeless is in closed
+form: its sub-communities are its singletons, found without recursing.
+Such a subgraph has n = F or n = 0 links, where every partition has
+surprise exactly 0.0, so the recursive greedy loop from singletons would
+accept nothing; it draws nothing from the rng either, so skipping it
+leaves the rng stream unchanged.  Its members share one internal degree,
+so its blocks share one extraction price, and its block moves read their
+prices from the link table and build no plan (argument in
+_closed_price()).
 
 Most recursions that remain only confirm that no block of the community
 can move, and a certificate proves that before recursing.  Fiedler's
@@ -157,7 +161,7 @@ class MoveOutcome(NamedTuple):
 
 
 class _SubBlock(NamedTuple):
-    """One proper sub-community of a community, priced against the current state.
+    """One proper sub-community of a community not in closed form, priced against the current state.
 
     ``dM`` and ``dell`` are _delta() of moving the block into a fresh
     community of its own, and ``S_extract`` the surprise after that move;
@@ -476,7 +480,7 @@ class SurpriseState:
 
         A community whose induced subgraph is complete or edgeless is
         answered in closed form, without the recursion: its singletons, in
-        ascending node order (see _closed_form()).  Any other community is
+        ascending node order (see _closed_price()).  Any other community is
         answered from the memo, or else by the recursion, which fills the
         memo.  The memo never holds a complete or edgeless community, so it
         is read first.
@@ -496,9 +500,8 @@ class SurpriseState:
         cached = self._sub_cache.get(key)
         if cached is not None:
             return [set(sub) for sub in cached]
-        closed = self._closed_form(cid)
-        if closed is not None:
-            return closed
+        if self._closed_price(cid) is not None:
+            return [{u} for u in sorted(members)]
         sub, back = self.graph.subgraph(members)
         state = SurpriseState(sub, rng=self.rng)
         state.stepper()
@@ -509,28 +512,45 @@ class SurpriseState:
         self._sub_cache[key] = [set(s) for s in result]
         return result
 
-    def _closed_form(self, cid: int) -> list[set[int]] | None:
-        """The singletons of cid when its induced subgraph is complete or edgeless, else None.
+    def _closed_price(self, cid: int) -> tuple[int, int] | None:
+        """The price (dM, dell) every block of cid shares when its induced subgraph is complete or edgeless, else None.
 
-        The internal link count is read from the link table.  Such a
-        subgraph has n = F (complete) or n = 0 (edgeless), and surprise(F,
-        M, n, ell) is exactly 0.0 for every feasible (M, ell): feasibility
-        forces ell = M or ell = 0, so every ln_choose in lt0 is ln C(m, m)
-        or ln C(m, 0), that is t[m] - t[0] - t[m] = 0.0, and the term loop
-        is empty.  Starting from singletons, with S = 0.0, no move clears
-        TIE_EPS, so the recursive stepper() would accept nothing and return
-        the singletons in Graph.subgraph's ascending relabel order.  That
-        order matters: _anneal_propose draws a block by index.  stepper()
-        draws nothing from the rng, so skipping it leaves the rng stream as
-        it was.
+        Such a community has its singletons as sub-communities, found
+        without recursing.  The internal link count is read from the link
+        table.  The subgraph has n = F (complete) or n = 0 (edgeless), and
+        surprise(F, M, n, ell) is exactly 0.0 for every feasible (M, ell):
+        feasibility forces ell = M or ell = 0, so every ln_choose in lt0 is
+        ln C(m, m) or ln C(m, 0), that is t[m] - t[0] - t[m] = 0.0, and the
+        term loop is empty.  Starting from singletons, with S = 0.0, no move
+        clears TIE_EPS, so the recursive stepper() would accept nothing and
+        return the singletons in Graph.subgraph's ascending relabel order.
+        That order matters: _anneal_propose draws a block by index.
+        stepper() draws nothing from the rng, so skipping it leaves the rng
+        stream as it was.
+
+        The shared price.  Every member u has the same internal degree d
+        (c - 1, or 0), so every block {u} moved to a fresh community has
+        _delta()'s (dM, dell) = (1 - c, -d), and so the same S_extract.
+        Moved into a community cj, {u} has the price (dM + |cj|, dell + k),
+        k = row_u[lab[cj]] its links into cj, which is exchange(u, cj)'s.
+        The sub-community moves read these from the link table
+        (_block_scan(), _sub_targets()) and build no plan: the values are
+        those a plan would store, read in the same state, since rows change
+        only on an applied move, which also drops every plan and rejection.
+        So _plans holds no such community, and one it holds is answered
+        without the count.
         """
+        if cid in self._plans:
+            return None
         members = self.partition.comms[cid]
         c = len(members)
         # twice the links inside the community
         lc = self._lab[cid]
         internal2 = sum(self._node_links[u].get(lc, 0) for u in members)
-        if internal2 == 0 or internal2 == c * (c - 1):
-            return [{u} for u in sorted(members)]
+        if internal2 == 0:
+            return 1 - c, 0
+        if internal2 == c * (c - 1):
+            return 1 - c, 1 - c
         return None
 
     def _certificate(self, cid: int) -> float | None:
@@ -627,10 +647,11 @@ class SurpriseState:
         Built once per community and state: in phase 2 stepper() calls
         sub_extract for every community of c >= 2 nodes, and that call and
         the sub_exchange calls for the same community share the plan.
-        Every applied move drops it.  Every caller asks for c >= 2 nodes.
+        Every applied move drops it.  Every caller asks for c >= 2 nodes,
+        in a community _closed_price() does not answer: those take their
+        block moves from the link table and have no plan.
 
-        A complete or edgeless community takes the closed form.  For any
-        other, when the memo has no answer, _certificate() runs before the
+        When the memo has no answer, _certificate() runs before the
         recursion.  When it proves that no proper block can raise S, the
         plan is empty and the recursion is skipped.  Every plan reader then
         does what the recursion's blocks would have made it do: stepper(),
@@ -639,24 +660,17 @@ class SurpriseState:
         The recursion draws nothing from the rng, so skipping it leaves the
         rng stream unchanged.  A plan that is not empty has at least two
         blocks (see subcommunities()).
-
-        The closed form is tested here once; subcommunities() repeats the
-        test only for a community that also missed the memo and goes on to
-        the recursion, whose cost dwarfs it.
         """
         plan = self._plans.get(cid)
         if plan is not None:
             return plan
-        blocks = self._closed_form(cid)
-        if blocks is None:
-            members = frozenset(self.partition.comms[cid])
-            if members not in self._sub_cache and self._certificate(cid) is not None:
-                plan = self._plans[cid] = []
-                return plan
-            blocks = self.subcommunities(cid)
+        members = frozenset(self.partition.comms[cid])
+        if members not in self._sub_cache and self._certificate(cid) is not None:
+            plan = self._plans[cid] = []
+            return plan
         node_links, slot, lc = self._node_links, self._slot, self._lab[cid]
         plan = []
-        for sub in sorted(blocks, key=min):
+        for sub in sorted(self.subcommunities(cid), key=min):
             dM, dell = self._delta(sub, cid, None)
             by_lab: dict[int, int] = {}
             for u in sub:
@@ -686,21 +700,29 @@ class SurpriseState:
         return self._block_scan("sub_exchange", cid, cTo)
 
     def _block_scan(self, kind: str, cid: int, dst: int | None) -> MoveOutcome:
-        """Apply the first block of cid's plan whose move into dst raises S by more than TIE_EPS.
+        """Apply the first block of cid whose move into dst raises S by more than TIE_EPS.
 
-        ``dst`` None means a new community.  Every block that is priced is
-        decided by _greedy(), which keys a rejection by its price.  A block
-        B with no link into dst is skipped, unpriced, when extracting it
-        does not raise S by more than TIE_EPS; it could not have been
-        applied.  No block links to None, so extraction skips every block
-        that does not clear, and prices one that does at the (M, ell) _plan
-        priced: a memo hit.  Moving B (b nodes) into a community T (t nodes)
-        that it has no links to adds no intracommunity link, so ell changes
-        exactly as when B is extracted, while M grows by t*b >= 1 more (see
-        _SubBlock).  At fixed ell the hypergeometric upper tail P(X >= ell)
-        does not decrease as M grows, so S = -ln P does not increase: the
-        move into T is no better than extraction.  The first applied block
-        is therefore the one a full scan in the same order applies.  That
+        ``dst`` None means a new community.  The blocks are those of cid's
+        plan, or, when _closed_price() answers, its members at the shared
+        price, each with its links into dst read from its row.  Into a new
+        community the first member stands for them all: no member links
+        there, so each would be skipped or applied alike, on the one
+        S_extract.  Either way blocks come in ascending order of their
+        smallest node.
+
+        Every block that is priced is decided by _greedy(), which keys a
+        rejection by its price.  A block B with no link into dst is
+        skipped, unpriced, when extracting it does not raise S by more than
+        TIE_EPS; it could not have been applied.  No block links to None,
+        so extraction skips every block that does not clear, and prices one
+        that does at its S_extract's (M, ell): a memo hit.  Moving B (b
+        nodes) into a community T (t nodes) that it has no links to adds
+        no intracommunity link, so ell changes exactly as when B is
+        extracted, while M grows by t*b >= 1 more (see _SubBlock).  At
+        fixed ell the hypergeometric upper tail P(X >= ell) does not
+        decrease as M grows, so S = -ln P does not increase: the move into
+        T is no better than extraction.  The first applied block is
+        therefore the one a full scan in the same order applies.  That
         holds in exact arithmetic; in floating point the kernel can put a
         move that ties extraction a few ulps above it, so a skipped block
         could only ever differ where both deltaS lie within the kernel's
@@ -713,23 +735,35 @@ class SurpriseState:
         reports 0.0: its certificate put every block's deltaS below -margin
         (see _plan()).  So deltaS is always finite.
         """
-        plan = self._plan(cid)
         t = 0 if dst is None else len(self.partition.comms[dst])
-        best_dS = -math.inf if plan else 0.0
-        for blk in plan:
-            dS = blk.S_extract - self.S
-            if dst in blk.links or dS > TIE_EPS:
-                dM = blk.dM + t * len(blk.nodes)
-                dell = blk.dell + blk.links.get(dst, 0)
-                out = self._greedy(kind, blk.nodes, cid, dst, dM, dell)
+        price = self._closed_price(cid)
+        if price is None:
+            S = self.S
+            blocks = ((blk.nodes, blk.dM, blk.dell, blk.S_extract - S, blk.links.get(dst, 0)) for blk in self._plan(cid))
+        else:
+            # named apart from the loop's variables, which the generator
+            # would otherwise read as they are rebound
+            dM0, dell0 = price
+            dS0 = self._S_at(self.M + dM0, self.ell + dell0) - self.S
+            members = self.partition.comms[cid]
+            if dst is None:
+                blocks = [({min(members)}, dM0, dell0, dS0, 0)]
+            else:
+                node_links, ld = self._node_links, self._lab[dst]
+                blocks = (({u}, dM0, dell0, dS0, node_links[u].get(ld, 0)) for u in sorted(members))
+        best_dS = -math.inf
+        for nodes, dM, dell, dS, k in blocks:
+            if k or dS > TIE_EPS:
+                out = self._greedy(kind, nodes, cid, dst, dM + t * len(nodes), dell + k)
                 if out.accepted:
                     return out
                 dS = out.deltaS
             best_dS = max(best_dS, dS)  # a skipped block's is its extraction's
-        return MoveOutcome(False, best_dS, kind)
+        # only an empty plan leaves -inf
+        return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, kind)
 
     def _sub_targets(self, ci: int) -> list[int]:
-        """The communities stepper() offers ci's plan to, in ascending order.
+        """The communities stepper() offers ci's blocks to, in ascending order.
 
         Every other community when some block's extraction raises S by more
         than TIE_EPS.  Otherwise the communities some block links to at a
@@ -739,19 +773,36 @@ class SurpriseState:
         _block_scan() skips, unpriced, every block with no link into cj, and
         _greedy() rejects every other block again (argument in _greedy()).
         A one-node block {u} has the price of exchange(u, cj), so the
-        exchanges stepper() saw rejected leave out targets too.
+        exchanges stepper() saw rejected leave out targets too.  For a
+        community in closed form every block is one node at the shared
+        price, so this is one pass over the members' rows (see
+        _closed_price()).
         """
-        plan = self._plan(ci)
-        if any(blk.S_extract - self.S > TIE_EPS for blk in plan):
-            return [cj for cj in range(len(self.partition.comms)) if cj != ci]
-        rejected, comms = self._rejected, self.partition.comms
-        targets: set[int] = set()
-        for blk in plan:
-            b = len(blk.nodes)
-            targets.update(
-                cj for cj, k in blk.links.items() if (blk.dM + b * len(comms[cj]), blk.dell + k) not in rejected
+        comms = self.partition.comms
+        price = self._closed_price(ci)
+        if price is None:
+            plan = self._plan(ci)
+            clears = any(blk.S_extract - self.S > TIE_EPS for blk in plan)
+            # the price of each block's move into each community it links to
+            moves = (
+                ((blk.dM + len(blk.nodes) * len(comms[cj]), blk.dell + k), cj)
+                for blk in plan
+                for cj, k in blk.links.items()
             )
-        return sorted(targets)
+        else:
+            dM, dell = price
+            clears = self._S_at(self.M + dM, self.ell + dell) - self.S > TIE_EPS
+            node_links, slot, lc = self._node_links, self._slot, self._lab[ci]
+            moves = (
+                ((dM + len(comms[slot[lj]]), dell + k), slot[lj])
+                for u in comms[ci]
+                for lj, k in node_links[u].items()
+                if lj != lc
+            )
+        if clears:
+            return [cj for cj in range(len(comms)) if cj != ci]
+        rejected = self._rejected
+        return sorted({cj for key, cj in moves if key not in rejected})
 
     # ----- driving loops --------------------------------------------------
 
@@ -1028,8 +1079,8 @@ class SurpriseState:
         sub_exchanges = 0
         # a block move never empties its community, so Nc stays fixed
         for ci in range(p.Nc):
-            if len(p.comms[ci]) < 2:
-                continue  # no proper block
+            if len(p.comms[ci]) < 2 or self._closed_price(ci) is not None:
+                continue  # no proper block, or only one-node blocks
             # singleton blocks are the node pass's job; relocating them here
             # would undo exchanges made moments ago
             blocks = [blk.nodes for blk in self._plan(ci) if len(blk.nodes) > 1]

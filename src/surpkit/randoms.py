@@ -69,9 +69,11 @@ def expected_degree(gamma: float) -> float:
 
 
 def tail_prob(gamma: float, kmax: int) -> float:
-    """Probability that a draw from k^(-gamma) on k >= 1 exceeds kmax."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    """Probability that a draw from k^(-gamma) on k >= 1 exceeds kmax, a positive integer."""
+    # a fractional kmax would start the sum off the integers; NaN fails the
+    # first comparison, so int() sees no NaN
+    if not 1 <= kmax < math.inf or kmax != int(kmax):
+        raise ValueError(f"kmax must be a positive integer, got {kmax}")
     return zeta(gamma, kmax + 1) / zeta(gamma, 1)
 
 

@@ -58,7 +58,14 @@ class TestDetect:
         assert float(fields["S"]) >= 0.0
 
     def test_missing_file_fails(self, capsys, tmp_path):
-        assert main(["detect", "--graph", str(tmp_path / "nope.edges")]) == 1
+        path = tmp_path / "nope.edges"
+        code, err = refusal(capsys, "detect", "--graph", path)
+        assert code == 1 and err == f"error: {path}: No such file or directory\n"
+
+    def test_directory_refused(self, capsys, tmp_path):
+        # used to print error: [Errno 21] Is a directory: '<path>'
+        code, err = refusal(capsys, "detect", "--graph", tmp_path)
+        assert code == 1 and err == f"error: {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "whitespace"])
     def test_empty_edge_list_refused(self, capsys, tmp_path, text):
@@ -820,7 +827,7 @@ _FILE_ARGS = {
 # each corruption by id: what is at the path (None: nothing, "/": a
 # directory, bytes: a file that is not UTF-8 text) and what the refusal says
 _VALUE_CORRUPTIONS = {
-    "missing": (None, "not found"),
+    "missing": (None, "No such file or directory"),
     "directory": ("/", "Is a directory"),
     "not-utf8": (b"\xff1\n2\n", NOT_UTF8),
     "empty": ("", "no numbers"),
@@ -871,9 +878,7 @@ class TestValueFiles:
             path.write_text(content)
         argv = (a.format(path=path, dist=dist, values=values, out=out) for a in _FILE_ARGS[command])
         code, err = refusal(capsys, *argv)
-        # an OSError names the path in its own words; any other refusal leads with it
-        lead = "error: " if content in (None, "/") else f"error: {path}: "
-        assert code == 1 and err.startswith(lead) and err.count("\n") == 1
+        assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert str(path) in err and message in err
         assert not recwarn.list
         assert not out.exists()

@@ -489,19 +489,79 @@ def apply_every_move(g, p):
     return cases
 
 
+def closed_form(state, cid):
+    """True when cid's induced subgraph is complete or edgeless, counted from the adjacency."""
+    members = state.partition.comms[cid]
+    c = len(members)
+    return sum(len(state.graph.adj[u] & members) for u in members) in (0, c * (c - 1))
+
+
+def reference_plan(state, cid):
+    """The plan of cid as _plan() built it before closed-form communities
+    left it: such a community's blocks are the singletons subcommunities()
+    returns, each priced by _delta(), with its links counted by community id
+    from the adjacency.  Any other community's plan is _plan()'s own."""
+    if not closed_form(state, cid):
+        return state._plan(cid)
+    p, plan = state.partition, []
+    for sub in sorted(state.subcommunities(cid), key=min):
+        dM, dell = state._delta(sub, cid, None)
+        (u,) = sub
+        links = Counter(p.assign[v] for v in state.graph.adj[u] if p.assign[v] != cid)
+        plan.append(optimizer_module._SubBlock(sub, dM, dell, dict(links), state._S_at(state.M + dM, state.ell + dell)))
+    return plan
+
+
 def reference_sub_extract(state, cid):
-    """sub_extract() with its own block scan, before it shared one with sub_exchange()."""
+    """sub_extract() with its own block scan over reference_plan(), before it
+    shared one with sub_exchange()."""
     state._check_comm(cid)
     if len(state.partition.comms[cid]) < 2:
         raise ValueError("community too small for sub-community extraction")
     best_dS = -math.inf
-    for blk in state._plan(cid):
+    for blk in reference_plan(state, cid):
         dS = blk.S_extract - state.S
         if dS > TIE_EPS:
             state._move(blk.nodes, cid, None, blk.dM, blk.dell, blk.S_extract)
             return MoveOutcome(True, dS, "sub_extract")
         best_dS = max(best_dS, dS)
     return MoveOutcome(False, best_dS if best_dS > -math.inf else 0.0, "sub_extract")
+
+
+def reference_sub_exchange(state, cid, cTo):
+    """sub_exchange() as the block scan over every block of reference_plan(),
+    before closed-form communities read their blocks from the link table."""
+    if cTo == cid:
+        return MoveOutcome(False, 0.0, "sub_exchange")
+    plan = reference_plan(state, cid)
+    t = len(state.partition.comms[cTo])
+    best_dS = -math.inf if plan else 0.0
+    for blk in plan:
+        dS = blk.S_extract - state.S
+        if cTo in blk.links or dS > TIE_EPS:
+            dM = blk.dM + t * len(blk.nodes)
+            dell = blk.dell + blk.links.get(cTo, 0)
+            out = state._greedy("sub_exchange", blk.nodes, cid, cTo, dM, dell)
+            if out.accepted:
+                return out
+            dS = out.deltaS
+        best_dS = max(best_dS, dS)
+    return MoveOutcome(False, best_dS, "sub_exchange")
+
+
+def reference_sub_targets(state, ci):
+    """_sub_targets() over reference_plan(), every block's links by id."""
+    plan = reference_plan(state, ci)
+    comms = state.partition.comms
+    if any(blk.S_extract - state.S > TIE_EPS for blk in plan):
+        return [cj for cj in range(len(comms)) if cj != ci]
+    targets = set()
+    for blk in plan:
+        b = len(blk.nodes)
+        targets.update(
+            cj for cj, k in blk.links.items() if (blk.dM + b * len(comms[cj]), blk.dell + k) not in state._rejected
+        )
+    return sorted(targets)
 
 
 def reference_certificate(state, cid):
@@ -851,20 +911,21 @@ class TestSubPlan:
             assert state._S_at(M, ell).hex() == S.hex()
 
     def test_plan_rebuilt_after_renumbering_merge(self):
-        # {4,5} is a clique minus one edge away from {0..3}; merging it in
-        # moves the last community, {8,9}, into id 1
-        edges = list(combinations(range(4), 2)) + [(u, v) for u in range(4) for v in (4, 5)]
-        edges += [(6, 8), (7, 9), (8, 9)]
-        g = Graph(10, edges)
-        state = SurpriseState(g, Partition.from_communities([[0, 1, 2, 3], [4, 5], [6, 7], [8, 9]]))
+        # {4,5,6} links to every node of {0..3}; merging it in moves the
+        # last community, {10,11,12}, into id 1.  Neither is complete or
+        # edgeless, so each has a plan (a closed-form community has none)
+        edges = list(combinations(range(4), 2)) + [(u, v) for u in range(4) for v in (4, 5, 6)]
+        edges += [(4, 5), (7, 10), (8, 9), (10, 11)]
+        g = Graph(13, edges)
+        state = SurpriseState(g, Partition.from_communities([[0, 1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]]))
         assert not state.sub_exchange(1, 2).accepted
         assert not state.sub_exchange(3, 2).accepted
-        assert [b.nodes for b in state._plans[1]] == [{4}, {5}]
+        assert [b.nodes for b in state._plans[1]] == [{4, 5}, {6}]
         assert state.merge(0, 1).accepted
-        assert state.partition.comms[1] == {8, 9}
+        assert state.partition.comms[1] == {10, 11, 12}
         assert state._plans == {}
         out = state.sub_exchange(1, 2)
-        assert [b.nodes for b in state._plans[1]] == [{8}, {9}]
+        assert [b.nodes for b in state._plans[1]] == [{10, 11}, {12}]
         scan = sub_scan(state, "sub_exchange", 1, 2)
         # a block rejected on its first-term bound reports the bound
         assert not out.accepted and max(dS for _, dS in scan) <= out.deltaS <= TIE_EPS
@@ -1003,6 +1064,105 @@ class TestClosedFormSubcommunities:
                 state.shake()
                 runs.append((accepted, state.partition.assign, state.S, state.rng.bit_generator.state))
         assert runs[0] == runs[1]
+
+
+@st.composite
+def planted_closed_forms(draw):
+    """A graph and a partition that plants complete, edgeless and random
+    communities, with random links between them and node ids shuffled, so a
+    set of members iterates out of ascending order; then up to six public
+    node moves to apply first, each (name, a, b) with ids taken modulo."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    K = sum(sizes)
+    perm = draw(st.permutations(range(K)))
+    groups, start = [], 0
+    for c in sizes:
+        groups.append(sorted(perm[start:start + c]))
+        start += c
+    edges = set()
+    for group in groups:
+        pairs = list(combinations(group, 2))
+        kind = draw(st.sampled_from(["complete", "edgeless", "random"]))
+        if kind == "complete":
+            edges.update(pairs)
+        elif kind == "random" and pairs:
+            edges.update(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    comm = {u: i for i, group in enumerate(groups) for u in group}
+    between = [(u, v) for u, v in combinations(range(K), 2) if comm[u] != comm[v]]
+    edges.update(draw(st.lists(st.sampled_from(between), unique=True, max_size=K)))
+    ids = st.integers(0, 24)
+    moves = draw(st.lists(st.tuples(st.sampled_from(["merge", "exchange", "extract"]), ids, ids), max_size=6))
+    return Graph(K, sorted(edges)), Partition.from_communities(groups), moves
+
+
+class TestClosedFormReaders:
+    """sub_extract, sub_exchange and _sub_targets read a closed-form
+    community's blocks from the link table; the plan-based scan over its
+    singleton blocks is the oracle."""
+
+    @staticmethod
+    def run(g, p, moves, seed, sub_extract, sub_exchange, sub_targets):
+        """Apply ``moves``, then call the three readers on every closed-form
+        community and every target in turn.  Returns what each call gave
+        and left behind, then the final assignment, S bits, rng state and
+        kernel evaluations."""
+        state = SurpriseState(g, p, rng=seed)
+        comms = state.partition.comms
+        for name, a, b in moves:
+            K, Nc = g.K, len(comms)
+            args = {"merge": (a % Nc, b % Nc), "exchange": (a % K, b % Nc), "extract": (a % K,)}[name]
+            try:
+                getattr(state, name)(*args)
+            except ValueError:
+                pass
+        calls = Counter()
+        kernel = optimizer_module.surprise
+
+        def counted_kernel(*args):
+            calls["surprise"] += 1
+            return kernel(*args)
+
+        # an applied block move can change which communities are closed,
+        # but never empties one, so every id stays valid
+        def closed(cid):
+            return len(comms[cid]) > 1 and closed_form(state, cid)
+
+        record = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer_module, "surprise", counted_kernel)
+            for cid in range(len(comms)):
+                if not closed(cid):
+                    continue
+                record.append(("targets", cid, sub_targets(state, cid), set(state._rejected)))
+                for cTo in range(len(comms)):
+                    if closed(cid):
+                        out = sub_exchange(state, cid, cTo)
+                        record.append((cid, cTo, out, out.deltaS.hex(), list(state.partition.assign), state.S.hex()))
+                        record.append(set(state._rejected))
+                if closed(cid):
+                    out = sub_extract(state, cid)
+                    record.append((cid, out, out.deltaS.hex(), list(state.partition.assign), state.S.hex()))
+        assert state.verify()
+        return record, state.partition.assign, state.S.hex(), state.rng.bit_generator.state, calls["surprise"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_closed_forms(), st.integers(0, 2 ** 16))
+    def test_readers_match_the_plan_scan(self, case, seed):
+        g, p, moves = case
+        for pre in ([], moves):  # without and with other moves applied first
+            got = self.run(g, p, pre, seed, SurpriseState.sub_extract, SurpriseState.sub_exchange, SurpriseState._sub_targets)
+            want = self.run(g, p, pre, seed, reference_sub_extract, reference_sub_exchange, reference_sub_targets)
+            assert got == want
+
+    def test_readers_apply_and_reject(self):
+        # one complete and two edgeless communities, on which the readers
+        # both apply and reject moves, and agree with the oracle
+        g = Graph(9, list(combinations(range(4), 2)) + [(3, 4), (4, 7), (5, 8)])
+        p = Partition.from_communities([[0, 1, 2, 3], [4, 5, 6], [7, 8]])
+        record = self.run(g, p, [], 0, SurpriseState.sub_extract, SurpriseState.sub_exchange, SurpriseState._sub_targets)[0]
+        assert record == self.run(g, p, [], 0, reference_sub_extract, reference_sub_exchange, reference_sub_targets)[0]
+        outcomes = [entry[1] for entry in record if len(entry) == 5] + [entry[2] for entry in record if len(entry) == 6]
+        assert {out.accepted for out in outcomes} == {True, False}
 
 
 def counted_run(g, p, seed, loop):
@@ -2049,6 +2209,8 @@ class SurpriseStateMachine(RuleBasedStateMachine):
         state = self.state
         for cid, plan in state._plans.items():
             assert 0 <= cid < state.partition.Nc and len(state.partition.comms[cid]) > 1
+            # a closed-form community's block moves read the link table
+            assert not closed_form(state, cid)
             copy = SurpriseState(state.graph, state.partition)
             copy.S = state.S
             copy._sub_cache = {key: [set(b) for b in blocks] for key, blocks in state._sub_cache.items()}

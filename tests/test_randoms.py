@@ -101,6 +101,15 @@ class TestPowerLawMoments:
     def test_tail_vanishes(self):
         assert tail_prob(2.5, 10 ** 5) < 1e-6
 
+    def test_tail_integral_float_kmax(self):
+        assert tail_prob(2.0, 2.0) == tail_prob(2.0, 2)
+
+    @pytest.mark.parametrize("kmax", [2.5, 0, -1, 0.5, math.nan, math.inf])
+    def test_tail_refuses_kmax(self, kmax):
+        # 2.5 used to return 0.2008, though P(k > 2.5) = P(k > 2) = 0.2401
+        with pytest.raises(ValueError, match=rf"^kmax must be a positive integer, got {kmax}$"):
+            tail_prob(2.0, kmax)
+
 
 class TestSamplers:
     def test_rejection_fraction(self):
