@@ -11,6 +11,7 @@ by removing and rewiring a percentage of its links.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ import numpy as np
 from surpkit.graph import Graph
 from surpkit.metrics import pielou
 from surpkit.partition import Partition
+from surpkit.randoms import distinct_pair
 
 
 # ----- Pielou-controlled size lists --------------------------------------
@@ -31,32 +33,120 @@ _SIZE_FLOOR = 2
 _TOL = 0.01
 _MAX_ITER = 100_000
 
+# the unit roundoff of a double, and how many kept moves _anneal_sizes'
+# running sum may drift before it is summed afresh
+_U = 2.0 ** -53
+_RESYNC = 256
+
+# a size change: (index, +1 or -1) pairs with distinct indices
+_Move = tuple[tuple[int, int], ...]
+
+
+def _xlogx(c: int) -> float:
+    return c * math.log(c)
+
 
 def _anneal_sizes(
     sizes: list[int],
     target: float,
-    propose: Callable[[list[int], np.random.Generator], list[int] | None],
+    propose: Callable[[list[int], np.random.Generator], _Move | None],
     rng: np.random.Generator,
 ) -> list[int]:
     """Keep each proposal that moves the evenness of ``sizes`` toward ``target``.
 
-    ``propose(sizes, rng)`` returns a changed copy, or None for a change
-    the size floor forbids.
+    ``propose(sizes, rng)`` returns a move of at most two sizes, or None
+    for a change the size floor forbids.  With err = abs(pielou(sizes) -
+    target), the loop keeps a move iff it makes err strictly smaller, and
+    stops once err <= _TOL or after _MAX_ITER proposals.  ``sizes`` is
+    edited in place and returned.
+
+    Every decision is the one pielou()'s floats make, and most take O(1).
+    With T = sum(sizes) and G = sum of c ln c, the entropy is H = ln T -
+    G/T, so the evenness J = H / ln N follows a move in O(1).  The loop
+    keeps a float G~ within ``slack`` of G and estimates err from it, for
+    the sizes now and for the sizes a move gives.  A decision is taken
+    from the estimates when they settle it with a margin of delta each,
+    and otherwise from pielou() on both sides, as without the screen; the
+    stop test is screened the same way against _TOL.
+
+    The margin, to first order in u = 2^-53, with libm's log within one
+    ulp (2u relative) and every other operation rounded once (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 3-4):
+    - pielou() returns p with |p - J| <= (N + 9) u.  Each of its N terms
+      (c/T) ln(c/T) is within (c/T) (4u |ln(c/T)| + u), so the terms
+      carry 4uH + u; summing them adds at most (N - 1) u H (recursive
+      summation; the compensated sum() of Python 3.12 does better); the division by
+      ln N adds 3uJ; and H <= ln N with ln N >= ln 2.
+    - The estimate (ln T - G~/T) / ln N, in floats, is within
+      slack / (T ln N) + u (4 ln T / ln N + 5) of J, as G/T <= ln T.
+    - Taking abs(. - target) rounds once more on each side.
+    So the estimated and the exact err differ by at most b = slack / (T ln
+    N) + u (N + 17 + 4 ln T / ln N); delta = 2b, and the spare b covers
+    the roundings of the screen's own sums and comparisons.
+    - G~ summed afresh by math.fsum, each term c*log(c) within 3u of c ln
+      c, is within 5u G~.  A kept move of m <= 2 sizes adds 2m terms, m
+      differences and m sums to G~: at most 18u max(G~ before, after).
+      G~ is summed afresh every _RESYNC kept moves, so at N = 640 and T =
+      16,000 delta stays below 2e-12.  Then the proposals that need
+      pielou() are the exact ties, a unit moved between two sizes one
+      apart, whose floats only pielou()'s order of summation decides.
     """
     if len(sizes) < 2:
         raise ValueError("need at least 2 sizes")
     if not (0.0 < target <= 1.0):
         raise ValueError("target evenness must be in (0, 1]")
-    err = abs(pielou(sizes) - target)
+    N = len(sizes)
+    ln_N = math.log(N)
+
+    def screened(G: float, T: int, slack: float) -> tuple[float, float]:
+        """The err estimated from G~ and T, and its margin delta = 2b."""
+        ln_T = math.log(T)
+        b = slack / (T * ln_N) + _U * (N + 17 + 4.0 * ln_T / ln_N)
+        return abs((ln_T - G / T) / ln_N - target), 2.0 * b
+
+    def settled(est: float, delta: float) -> bool:
+        """The stop test err <= _TOL."""
+        return est + delta <= _TOL or (est - delta <= _TOL and abs(pielou(sizes) - target) <= _TOL)
+
+    T = sum(sizes)
+    G = math.fsum(map(_xlogx, sizes))
+    slack = 5.0 * _U * G
+    est, delta = screened(G, T, slack)
+    kept = 0
+    done = settled(est, delta)
     for _ in range(_MAX_ITER):
-        if err <= _TOL:
+        if done:
             break
-        new = propose(sizes, rng)
-        if new is None:
+        move = propose(sizes, rng)
+        if move is None:
             continue
-        new_err = abs(pielou(new) - target)
-        if new_err < err:
-            sizes, err = new, new_err
+        T_new, G_new = T, G
+        for i, step in move:
+            c = sizes[i]
+            T_new += step
+            G_new += _xlogx(c + step) - _xlogx(c)
+        slack_new = slack + 18.0 * _U * max(G, G_new)
+        est_new, delta_new = screened(G_new, T_new, slack_new)
+        if not est_new + delta_new < est - delta:
+            if est_new - delta_new >= est + delta:
+                continue
+            err = abs(pielou(sizes) - target)
+            for i, step in move:
+                sizes[i] += step
+            better = abs(pielou(sizes) - target) < err
+            for i, step in move:
+                sizes[i] -= step
+            if not better:
+                continue
+        for i, step in move:
+            sizes[i] += step
+        T, G, slack, est, delta = T_new, G_new, slack_new, est_new, delta_new
+        kept += 1
+        if kept % _RESYNC == 0:
+            G = math.fsum(map(_xlogx, sizes))
+            slack = 5.0 * _U * G
+            est, delta = screened(G, T, slack)
+        done = settled(est, delta)
     return sizes
 
 
@@ -72,14 +162,12 @@ def pielouer(
     until within 0.01 or the iteration budget runs out (best effort).
     """
 
-    def propose(s: list[int], r: np.random.Generator) -> list[int] | None:
+    def propose(s: list[int], r: np.random.Generator) -> _Move | None:
         i = int(r.integers(N))
         step = 1 if r.random() < 0.5 else -1
         if s[i] + step < _SIZE_FLOOR:
             return None
-        s = list(s)
-        s[i] += step
-        return s
+        return ((i, step),)
 
     sizes = [_SIZE_START] * N
     return _anneal_sizes(sizes, target, propose, np.random.default_rng(rng))
@@ -107,14 +195,11 @@ def pielouer_nodes(
     # _anneal_sizes refuses N < 2
     sizes = [total // N + (i < total % N) for i in range(N)]
 
-    def propose(s: list[int], r: np.random.Generator) -> list[int] | None:
-        i, j = (int(x) for x in r.choice(N, size=2, replace=False))
+    def propose(s: list[int], r: np.random.Generator) -> _Move | None:
+        i, j = distinct_pair(r, N)
         if s[i] - 1 < _SIZE_FLOOR:
             return None
-        s = list(s)
-        s[i] -= 1
-        s[j] += 1
-        return s
+        return ((i, -1), (j, 1))
 
     return _anneal_sizes(sizes, target, propose, np.random.default_rng(rng))
 
@@ -194,19 +279,35 @@ class BenchmarkNet:
         blocks = _clique_blocks(self.cliques)
         created = 0
         for i, ni in enumerate(blocks):
-            for j, nj in enumerate(blocks[:i]):
+            # clique i's pairs with each earlier clique j of q > 0 form a
+            # len(ni) x len(nj) block of draws, row by row; numpy gives the
+            # same doubles whether the blocks are drawn apart or in one call.
+            # The blocks before a refused q are drawn and applied first, so
+            # the edges and the stream at the raise are a pair-by-pair loop's
+            qs, js, refused = [], [], None
+            for j in range(i):
                 q = fn(self.cliques[i], self.cliques[j])
                 if not (0.0 <= q <= 1.0):
-                    raise ValueError(f"creation probability {q} outside [0, 1]")
-                if q == 0.0:
-                    continue
-                hits = self._rng.random((len(ni), len(nj))) < q
-                for a, b in zip(*np.nonzero(hits)):
-                    # clique j < i holds the smaller id
-                    pair = (nj[b], ni[a])
+                    refused = ValueError(f"creation probability {q} outside [0, 1]")
+                    break
+                if q != 0.0:
+                    qs.append(q)
+                    js.append(j)
+            if js:
+                widths = np.array([len(blocks[j]) for j in js])
+                lengths = len(ni) * widths
+                ends = np.cumsum(lengths)
+                hits = np.flatnonzero(self._rng.random(int(ends[-1])) < np.repeat(qs, lengths))
+                k = np.searchsorted(ends, hits, side="right")
+                a, b = np.divmod(hits - (ends - lengths)[k], widths[k])
+                # clique j < i holds the smaller id
+                firsts = np.array([blocks[j].start for j in js])
+                for pair in zip((firsts[k] + b).tolist(), (ni.start + a).tolist()):
                     if pair not in self.edges:
                         self.edges.add(pair)
                         created += 1
+            if refused is not None:
+                raise refused
         return created
 
 
@@ -245,7 +346,8 @@ def build_benchmark(
 
     for node in range(total, K):
         nodes = blocks[int(rng.integers(len(cliques)))]
-        anchor = int(rng.choice(nodes))
+        # the draw and the stream of int(rng.choice(nodes)), without choice
+        anchor = nodes[int(rng.integers(len(nodes)))]
         edges.add((anchor, node))
 
     assign = [cid for cid, c in enumerate(cliques) for _ in range(c)]

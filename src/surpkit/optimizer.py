@@ -113,6 +113,7 @@ import numpy as np
 
 from surpkit.graph import Graph
 from surpkit.partition import Partition
+from surpkit.randoms import distinct_pair
 from surpkit.surprise import first_term_bound, ln_factorial, partition_stats, surprise
 
 # strict-improvement threshold; exact ties are handled by shake()
@@ -124,23 +125,6 @@ TIE_EPS = 1e-12
 _EXP_SLACK = 1.0 + 2.0 ** -40
 
 MOVE_KINDS = ("merge", "exchange", "extract", "sub_extract", "sub_exchange")
-
-
-def _distinct_pair(rng: np.random.Generator, Nc: int) -> tuple[int, int]:
-    """Two distinct ints below Nc >= 2, as tuple(rng.choice(Nc, 2, replace=False)) draws them.
-
-    numpy's choice without replacement runs Floyd's algorithm, a draw in
-    [0, Nc - 1) and one in [0, Nc) that becomes Nc - 1 when it repeats
-    the first, then shuffles the pair with one draw in [0, 2), swapping on
-    0.  These are its draws without its array set-up, so the pair and the
-    generator state after it are choice's; the tests compare the two.
-    """
-    a, b = int(rng.integers(Nc - 1)), int(rng.integers(Nc))
-    if b == a:
-        b = Nc - 1
-    if rng.integers(2) == 0:
-        return b, a
-    return a, b
 
 
 class MoveOutcome(NamedTuple):
@@ -979,7 +963,7 @@ class SurpriseState:
     def _anneal_propose(self, T: float) -> bool:
         """Draw one random legal move and apply it by the Metropolis rule.
 
-        A merge draws its pair with _distinct_pair().
+        A merge draws its pair with distinct_pair().
 
         The Metropolis screen.  On a memo miss whose tail has more than
         one term (ell < min(M, n)), the first-term bound B = max(
@@ -1010,7 +994,7 @@ class SurpriseState:
         if kind == "merge":
             if p.Nc < 2:
                 return False
-            cA, cB = _distinct_pair(rng, p.Nc)
+            cA, cB = distinct_pair(rng, p.Nc)
             nodes, src, dst = p.comms[cB], cB, cA
         else:
             if kind in ("exchange", "extract"):

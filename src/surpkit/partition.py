@@ -91,13 +91,25 @@ class Partition:
 
 
 def load_partition(path) -> Partition:
-    """Read a partition file: line i holds the community id of node i."""
+    """Read a partition file: line i holds the community id of node i.
+
+    ``#`` lines are skipped.  Blank lines before the first id and after the
+    last are accepted, but one between two ids is refused: skipping it
+    would give every later node its predecessor's line.
+    """
     assign = []
+    blank = None  # the first blank line since the last id
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line:
+                blank = blank or lineno
                 continue
+            if line.startswith("#"):
+                continue
+            if blank and assign:
+                raise ValueError(f"{path}:{blank}: blank line inside the partition")
+            blank = None
             try:
                 assign.append(int(line))
             except ValueError:

@@ -1,4 +1,4 @@
-"""Power-law sampling and estimation utilities.
+"""Power-law sampling and estimation utilities, and a distinct-pair draw.
 
 The normalization constant of a discrete power law is the (generalized)
 zeta function, whose direct sum converges far too slowly for the needed
@@ -148,6 +148,23 @@ def sample_powerlaw_continuous(
     rng = np.random.default_rng(rng)
     u = rng.random(count)
     return x0 * (1.0 - u) ** (-1.0 / (gamma - 1.0))
+
+
+def distinct_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Two distinct ints below n >= 2, as tuple(rng.choice(n, 2, replace=False)) draws them.
+
+    numpy's choice without replacement runs Floyd's algorithm, a draw in
+    [0, n - 1) and one in [0, n) that becomes n - 1 when it repeats the
+    first, then shuffles the pair with one draw in [0, 2), swapping on 0.
+    These are its draws without its array set-up, so the pair and the
+    generator state after it are choice's; the tests compare the two.
+    """
+    a, b = int(rng.integers(n - 1)), int(rng.integers(n))
+    if b == a:
+        b = n - 1
+    if rng.integers(2) == 0:
+        return b, a
+    return a, b
 
 
 def _check_support(samples: np.ndarray, x0: float, discrete: bool = False) -> None:

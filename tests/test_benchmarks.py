@@ -1,13 +1,121 @@
 import dataclasses
+import importlib
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surpkit.benchmarks import build_benchmark, pielouer, pielouer_nodes, rc_degrade
+from surpkit.benchmarks import _MAX_ITER, _SIZE_FLOOR, _TOL, _anneal_sizes, build_benchmark, pielouer, pielouer_nodes, rc_degrade
 from surpkit.metrics import pielou
 
 from testdata import expected_counts, toy_graph
+
+benchmarks_module = importlib.import_module("surpkit.benchmarks")
+
+
+# ----- reference copies: the generators before their O(1) screens -----------
+
+
+def reference_anneal_sizes(sizes, target, propose, rng):
+    """_anneal_sizes pricing every proposal with pielou(); ``propose`` returns a copy."""
+    if len(sizes) < 2:
+        raise ValueError("need at least 2 sizes")
+    if not (0.0 < target <= 1.0):
+        raise ValueError("target evenness must be in (0, 1]")
+    err = abs(pielou(sizes) - target)
+    for _ in range(_MAX_ITER):
+        if err <= _TOL:
+            break
+        new = propose(sizes, rng)
+        if new is None:
+            continue
+        new_err = abs(pielou(new) - target)
+        if new_err < err:
+            sizes, err = new, new_err
+    return sizes
+
+
+def reference_pielouer(N, target, rng=None):
+    def propose(s, r):
+        i = int(r.integers(N))
+        step = 1 if r.random() < 0.5 else -1
+        if s[i] + step < _SIZE_FLOOR:
+            return None
+        s = list(s)
+        s[i] += step
+        return s
+
+    return reference_anneal_sizes([25] * N, target, propose, np.random.default_rng(rng))
+
+
+def reference_pielouer_nodes(N, target, K_range, rng=None):
+    total = max(K_range[0], N * _SIZE_FLOOR)
+    sizes = [total // N + (i < total % N) for i in range(N)]
+
+    def propose(s, r):
+        i, j = (int(x) for x in r.choice(N, size=2, replace=False))
+        if s[i] - 1 < _SIZE_FLOOR:
+            return None
+        s = list(s)
+        s[i] -= 1
+        s[j] += 1
+        return s
+
+    return reference_anneal_sizes(sizes, target, propose, np.random.default_rng(rng))
+
+
+def reference_anchor(rng, nodes):
+    """build_benchmark's draw of a singleton's anchor in clique range ``nodes``."""
+    return int(rng.choice(nodes))
+
+
+def reference_degrade_q(net, q_fn):
+    """degrade_q with one draw per pair of cliques."""
+    fn = q_fn if callable(q_fn) else lambda ci, cj: q_fn
+    starts = list(itertools.accumulate(net.cliques, initial=0))
+    blocks = [range(start, start + c) for start, c in zip(starts, net.cliques)]
+    created = 0
+    for i, ni in enumerate(blocks):
+        for j, nj in enumerate(blocks[:i]):
+            q = fn(net.cliques[i], net.cliques[j])
+            if not (0.0 <= q <= 1.0):
+                raise ValueError(f"creation probability {q} outside [0, 1]")
+            if q == 0.0:
+                continue
+            hits = net._rng.random((len(ni), len(nj))) < q
+            for a, b in zip(*np.nonzero(hits)):
+                pair = (nj[b], ni[a])
+                if pair not in net.edges:
+                    net.edges.add(pair)
+                    created += 1
+    return created
+
+
+def drawn(fn, *args, seed):
+    """fn's result on a fresh generator of ``seed``, and the generator's final state."""
+    rng = np.random.default_rng(seed)
+    return fn(*args, rng=rng), rng.bit_generator.state
+
+
+def broken_tie(target):
+    """Sizes and a move between two entries one apart: the same multiset, so
+    the same evenness in exact arithmetic, but a smaller error in pielou()'s
+    floats, as summing in another order gives."""
+    r = random.Random(0)
+    for _ in range(100_000):
+        sizes = [r.randint(2, 12) for _ in range(r.randint(3, 8))]
+        err = abs(pielou(sizes) - target)
+        for i, j in itertools.permutations(range(len(sizes)), 2):
+            if sizes[i] - 1 == sizes[j] > _SIZE_FLOOR:
+                moved = list(sizes)
+                moved[i], moved[j] = sizes[j], sizes[i]
+                if abs(pielou(moved) - target) < err:
+                    return sizes, i, j
+    raise AssertionError("no tie that pielou()'s floats break")
 
 
 class TestPielouer:
@@ -58,6 +166,119 @@ class TestPielouerNodes:
         # used to return [9, 5, 16], whose total of 30 lies outside the range
         with pytest.raises(ValueError, match="empty"):
             pielouer_nodes(3, 0.9, (30, 12), rng=0)
+
+
+class TestAgainstReference:
+    """Each generator makes the reference copy's sizes, edges and rng stream."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        N=st.integers(2, 40),
+        target=st.floats(0.7, 1.0),
+        spread=st.integers(3, 30),
+        nodes=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sizes(self, N, target, spread, nodes, seed):
+        if nodes:
+            K = (2 + spread) * N
+            assert drawn(pielouer_nodes, N, target, (K, K), seed=seed) == drawn(
+                reference_pielouer_nodes, N, target, (K, K), seed=seed
+            )
+        else:
+            assert drawn(pielouer, N, target, seed=seed) == drawn(reference_pielouer, N, target, seed=seed)
+
+    @pytest.mark.parametrize(
+        "fn,ref,args",
+        [
+            # the floor binds: (2, 2, 5) is as uneven as nine units get
+            (pielouer_nodes, reference_pielouer_nodes, (3, 0.3, (9, 9))),
+            # a kept move changes one size by one unit: 100,000 proposals fall short
+            (pielouer, reference_pielouer, (10, 0.05)),
+        ],
+    )
+    def test_sizes_when_the_budget_runs_out(self, fn, ref, args):
+        (sizes, state) = drawn(fn, *args, seed=5)
+        assert abs(pielou(sizes) - args[1]) > _TOL
+        assert (sizes, state) == drawn(ref, *args, seed=5)
+
+    def test_estimate_within_its_margin_takes_pielou(self, monkeypatch):
+        # a tie the floats break is kept, and the move back is refused: a
+        # screen that decided either without pielou() would get one wrong
+        target = 0.5
+        sizes, i, j = broken_tie(target)
+        script = iter([((i, -1), (j, 1)), ((j, -1), (i, 1))])
+
+        def propose(s, r):
+            return next(script, None)
+
+        def copying(s, r):
+            move = propose(s, r)
+            if move is None:
+                return None
+            s = list(s)
+            for k, step in move:
+                s[k] += step
+            return s
+
+        expected = list(sizes)
+        expected[i], expected[j] = sizes[j], sizes[i]
+        calls = []
+        monkeypatch.setattr(benchmarks_module, "pielou", lambda s: calls.append(1) or pielou(s))
+        assert _anneal_sizes(list(sizes), target, propose, None) == expected
+        assert len(calls) == 4
+        script = iter([((i, -1), (j, 1)), ((j, -1), (i, 1))])
+        assert reference_anneal_sizes(list(sizes), target, copying, None) == expected
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_anchor_draw(self, seed):
+        ranged, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = random.Random(seed)
+        for _ in range(20):
+            start = g.randrange(0, 5000)
+            nodes = range(start, start + g.randint(2, 1000))
+            assert nodes[int(ranged.integers(len(nodes)))] == reference_anchor(chosen, nodes)
+            assert ranged.bit_generator.state == chosen.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cliques=st.lists(st.integers(2, 9), min_size=1, max_size=8),
+        qs=st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]), min_size=81, max_size=81),
+        scalar=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_degrade_q(self, cliques, qs, scalar, seed):
+        # the callable gives some pairs of cliques q = 0, which draw nothing
+        q_fn = qs[0] if scalar else (lambda ci, cj: qs[9 * (ci - 1) + cj - 1])
+        net, ref = (build_benchmark(cliques, r=0.1, rng=seed) for _ in range(2))
+        net.degrade_p(0.3)
+        ref.degrade_p(0.3)
+        assert net.degrade_q(q_fn) == reference_degrade_q(ref, q_fn)
+        assert net.edges == ref.edges
+        assert net._rng.bit_generator.state == ref._rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cliques=st.lists(st.integers(2, 9), min_size=3, max_size=8),
+        bad=st.sampled_from([1.5, -0.1, math.nan]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_degrade_q_refused_inside_a_clique(self, cliques, bad, data, seed):
+        # the refused q comes on call k; the pairs before it are drawn and applied
+        k = data.draw(st.integers(0, len(cliques) * (len(cliques) - 1) // 2 - 1))
+
+        def q_fn():
+            calls = itertools.count()
+            return lambda ci, cj: bad if next(calls) == k else 0.2
+
+        net, ref = (build_benchmark(cliques, rng=seed) for _ in range(2))
+        with pytest.raises(ValueError, match="creation probability"):
+            net.degrade_q(q_fn())
+        with pytest.raises(ValueError, match="creation probability"):
+            reference_degrade_q(ref, q_fn())
+        assert net.edges == ref.edges
+        assert net._rng.bit_generator.state == ref._rng.bit_generator.state
 
 
 class TestBuildBenchmark:

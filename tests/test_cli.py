@@ -406,6 +406,26 @@ class TestEval:
         code, err = refusal(capsys, "eval", kind, *argv)
         assert code == 1 and err == f"error: {short}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("0\n\n1\n0\n", 2), ("0\n1\n \n# note\n\n0\n", 3)],
+        ids=["blank", "blanks-and-comment"],
+    )
+    def test_blank_line_inside_a_partition_refused(self, capsys, tmp_path, text, line):
+        # skipped, it would give every later node its predecessor's id
+        a, holed = tmp_path / "a.txt", tmp_path / "holed.txt"
+        a.write_text("0\n1\n1\n0\n")
+        holed.write_text(text)
+        code, err = refusal(capsys, "eval", "vi", "--a", a, "--b", holed)
+        assert code == 1 and err == f"error: {holed}:{line}: blank line inside the partition\n"
+
+    def test_blank_lines_around_a_partition_accepted(self, capsys, tmp_path):
+        a, padded = tmp_path / "a.txt", tmp_path / "padded.txt"
+        a.write_text("0\n1\n1\n")
+        padded.write_text("# ids\n\n0\n1\n1\n\n \n")
+        code, out = run(capsys, "eval", "vi", "--a", a, "--b", padded)
+        assert code == 0 and float(out) == 0.0
+
     def test_modularity_of_edgeless_graph_names_the_graph(self, capsys, tmp_path):
         graph, part = tmp_path / "edgeless.txt", tmp_path / "p.txt"
         graph.write_text("# nodes 3\n")

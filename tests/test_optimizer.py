@@ -18,8 +18,9 @@ from surpkit.benchmarks import build_benchmark, pielouer_nodes
 from surpkit.cli import sub_rng
 from surpkit.exhaustive import best_partitions
 from surpkit.graph import Graph
-from surpkit.optimizer import MOVE_KINDS, TIE_EPS, MoveOutcome, SurpriseState, _distinct_pair, sample_partitions
+from surpkit.optimizer import MOVE_KINDS, TIE_EPS, MoveOutcome, SurpriseState, sample_partitions
 from surpkit.partition import Partition
+from surpkit.randoms import distinct_pair
 from surpkit.surprise import first_term_bound, ln_factorial, partition_stats, surprise
 
 from testdata import disconnected_cliques
@@ -1724,6 +1725,80 @@ class TestFastCertificate:
         assert any(bound is None for bound in bounds) == (seed != 0)
 
 
+def split_communities(graph, partition):
+    """The ids of the communities whose induced subgraph is not connected."""
+    split = []
+    for cid, comm in enumerate(partition.comms):
+        start = next(iter(comm))
+        seen, stack = {start}, [start]
+        while stack:
+            for v in graph.adj[stack.pop()] & comm:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) < len(comm):
+            split.append(cid)
+    return split
+
+
+@st.composite
+def bridged_chains(draw):
+    """Cliques in a row, each joined to the next through one bridge node with
+    links into both; hypothesis picks the sizes and how many links."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=2, max_size=4))
+    edges, start, prev = [], 0, None
+    for c in sizes:
+        clique = range(start, start + c)
+        edges += combinations(clique, 2)
+        if prev is not None:
+            bridge = start + c
+            for side in (prev, clique):
+                ends = draw(st.lists(st.sampled_from(side), min_size=1, max_size=len(side), unique=True))
+                edges += [(u, bridge) for u in ends]
+            start = bridge + 1
+        else:
+            start += c
+        prev = clique
+    return Graph(start, edges)
+
+
+class TestConnectedCommunities:
+    """Every community of a stepper() fixed point induces a connected subgraph.
+
+    On a graph with no link S is 0 for every partition, so every partition
+    is a fixed point: the search covers graphs with links, and
+    test_edgeless_graph holds that case.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=st.one_of(random_graphs(min_k=4, max_k=14).filter(lambda g: g.n > 0), bridged_chains()),
+        start=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+        T=st.sampled_from([0.05, 0.5, 2.0]),
+        data=st.data(),
+    )
+    def test_fixed_points_are_connected(self, graph, start, seed, T, data):
+        # from singletons (start 0) or from a random partition into up to 5 ids
+        partition = None
+        if start:
+            assign = data.draw(st.lists(st.integers(0, start - 1), min_size=graph.K, max_size=graph.K))
+            partition = Partition(assign)
+        state = SurpriseState(graph, partition, rng=seed)
+        state.stepper()
+        assert split_communities(graph, state.partition) == []
+        state.anneal_step(T)
+        state.stepper()
+        assert split_communities(graph, state.partition) == []
+
+    @pytest.mark.xfail(strict=True, reason="every partition of an edgeless graph has S = 0 and is a fixed point")
+    def test_edgeless_graph(self):
+        graph = Graph(4, [])
+        state = SurpriseState(graph, Partition([0, 0, 0, 0]), rng=0)
+        state.stepper()
+        assert split_communities(graph, state.partition) == []
+
+
 class TestPaperScale:
     def test_k500_partition_pinned(self):
         # the paper-scale recipe at K=500: 20 cliques of about 25 nodes,
@@ -1905,7 +1980,7 @@ class TestAnneal:
     def test_distinct_pair_draws_as_choice(self, seed):
         drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
         for Nc in range(2, 301):
-            assert _distinct_pair(drawn, Nc) == tuple(int(c) for c in chosen.choice(Nc, 2, replace=False))
+            assert distinct_pair(drawn, Nc) == tuple(int(c) for c in chosen.choice(Nc, 2, replace=False))
             assert drawn.bit_generator.state == chosen.bit_generator.state
 
     def test_metropolis_rate_at_minus_T(self, toy):
